@@ -468,7 +468,7 @@ class ReductionChain:
 
 def reduction_chain(M: GradedModule, seed=0, retries=8, bound=12,
                     max_steps=None) -> ReductionChain:
-    """Drive the complexity of M down to <= 1 by successive K_eta pushouts.
+    """Drive the complexity of M down to 0 by successive K_eta pushouts.
 
     Coefficients of eta are drawn at random (seeded); each step is
     accepted only when verify_reduction certifies it, and after

@@ -24,6 +24,7 @@ from .ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    plead,
     wdeg,
 )
 
@@ -324,7 +325,8 @@ class _GBState:
                 other = self.items[jdx]
                 lcm2 = mono_lcm(other.lt[1], lt[1])
                 sdeg2 = wdeg(lcm2, self.weights) + self.twists[lt[0]]
-                if not self.track:
+                if not self.track and self.rank == 1:
+                    # coprime criterion: sound for ideals only (see add)
                     if mono_mul(other.lt[1], lt[1]) == lcm2:
                         continue
                 heapq.heappush(self.pairs, (sdeg2, jdx, idx))
@@ -603,11 +605,11 @@ def ideal_groebner_polys(ring):
 
 
 def nf_poly_mod_ideal(poly, ring):
-    ambient = ring.ambient()
+    """Normal form of a polynomial against the Groebner basis of the ideal."""
     weights = ring.weights
     p = ring.p
     gb = ring.ideal_groebner()
-    leads = [plead_cache(g, weights) for g in gb]
+    leads = [plead(g, weights)[0] for g in gb]
     out = {}
     work = dict(poly)
     while work:
@@ -631,7 +633,3 @@ def nf_poly_mod_ideal(poly, ring):
                 else:
                     work.pop(t, None)
     return out
-
-
-def plead_cache(g, weights):
-    return max(g, key=lambda m: drl_key(m, weights))

@@ -1,26 +1,32 @@
 """Tor and Ext as graded dimension tables with exact zero-certificates.
 
 Tor_i(M,N) is the homology of F_M tensor N, Ext^i(M,N) the cohomology of
-Hom(F_M, N).  Both complexes are presented by free covers: index i is
-covered by a free module with one generator per (generator of F_i,
-generator of N), modulo the relations of N in every slot.  Graded
-dimensions come from rank counts in each internal degree.  Zero
-verdicts are exact, by one of two routes: over artinian rings every
-graded piece lives inside a window bounded by the socle top degree, so
-vanishing of all dimensions there is a complete check; otherwise kernel
-generators are reduced to zero against a Groebner basis of the image
-plus relations.  Verdicts are never read off truncated dimension
-tables.
+Hom(F_M, N).  Index i of either complex is a sum of shifted copies of N,
+one slot per generator of F_i: N(-t_a) for the tensor complex, N(t_a)
+for Hom.  Graded dimensions are read in the quotient coordinates of N's
+graded pieces (``GradedModule.pieces``): in internal degree d the map
+between two indices is a block matrix whose block for a pair of slots
+is the resolution entry acting by multiplication on a piece of N, and
+dim H = dim C - rank(out map) - rank(in map).  Zero verdicts are exact,
+by one of two routes: over artinian rings every graded piece lives
+inside a window bounded by the socle top degree, so vanishing of all
+dimensions there is a complete check; otherwise the complex is covered
+by free modules (one generator per slot and generator of N, modulo the
+relations of N in every slot) and kernel generators are reduced to zero
+against a Groebner basis of the image plus relations.  Verdicts are
+never read off truncated dimension tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from . import linalg
 from .groebner import (
     elead,
-    elem_component,
     groebner,
     normal_form,
     syzygies,
@@ -30,134 +36,142 @@ from .resolution import GradedModule, minimal_resolution
 DEFAULT_CAP_PAD = 5
 
 
-def _cover(res_twists, N):
-    """Twists of the tensor cover F_i (x) N-cover: position a*gN + b."""
-    out = []
-    for t in res_twists:
-        for u in N.twists:
-            out.append(t + u)
-    return tuple(out)
+class _CoveredComplex:
+    """F_M (x) N or Hom(F_M, N), index by index.
 
-
-def _hom_cover(res_twists, N):
-    """Twists of the Hom cover: Hom(R(-t), N) = N(t)."""
-    out = []
-    for t in res_twists:
-        for u in N.twists:
-            out.append(u - t)
-    return tuple(out)
-
-
-def _slot_relations(res_rank, N):
-    """Relations of N repeated in every resolution-generator slot."""
-    g = len(N.twists)
-    rels = []
-    for a in range(res_rank):
-        for col in N.relations:
-            rels.append({(a * g + b, m): c for (b, m), c in col.items()})
-    return rels
-
-
-class _TensorComplex:
-    """F_M (x) N as covered chain complex; maps go i -> i-1."""
+    ``sign`` fixes the slot shifts s_a = sign * t_a (slot a of index i is
+    N(-s_a)) and ``step`` the direction of the maps (i -> i + step).  The
+    map between indices j and j - 1 comes from d_j: F_j -> F_{j-1}; its
+    entry (a', a) joins slot a of index j with slot a' of index j - 1.
+    """
 
     def __init__(self, M, N, top):
         self.ring = M.ring
         self.N = N
         self.res = minimal_resolution(M, top + 1)
-        self.top = top
         self._spaces = {}
         self._maps = {}
+        self._entries = {}
+        self._shifts = {}
+        self._dims = {}    # (index, degree) -> slot dimensions
+        self._ranks = {}   # (src index, tgt index, degree) -> rank
+
+    def shifts(self, i):
+        if i not in self._shifts:
+            self._shifts[i] = tuple(self.sign * t
+                                    for t in self.res.twist_list(i))
+        return self._shifts[i]
+
+    def slot_dims(self, i, d):
+        """dim N_{d - s_a} for every slot a of index i."""
+        key = (i, d)
+        if key not in self._dims:
+            dim = self.N.pieces.dim
+            self._dims[key] = [dim(d - s) for s in self.shifts(i)]
+        return self._dims[key]
+
+    def cover(self, i):
+        """Twists of the free cover of index i: position a*gN + b."""
+        return tuple(s + u for s in self.shifts(i) for u in self.N.twists)
 
     def space(self, i):
+        """(cover twists, relations of N repeated in every slot)."""
         if i not in self._spaces:
-            tw = self.res.twist_list(i)
-            self._spaces[i] = (
-                _cover(tw, self.N),
-                _slot_relations(len(tw), self.N),
-            )
+            g = len(self.N.twists)
+            rels = [
+                {(a * g + b, m): c for (b, m), c in col.items()}
+                for a in range(len(self.res.twist_list(i)))
+                for col in self.N.relations
+            ]
+            self._spaces[i] = (self.cover(i), rels)
         return self._spaces[i]
 
-    def map_cols(self, i):
-        """Columns of D_i: C_i -> C_{i-1} (None for i <= 0)."""
-        if i <= 0:
+    def entries(self, j):
+        """(source slot, target slot, polynomial) of the map built on d_j."""
+        if j not in self._entries:
+            out = []
+            for a, dcol in enumerate(self.res.differential(j)):
+                polys = {}
+                for (a_t, m), c in dcol.items():
+                    polys.setdefault(a_t, {})[m] = c
+                for a_t, poly in polys.items():
+                    out.append((a, a_t, poly) if self.step < 0
+                               else (a_t, a, poly))
+            self._entries[j] = out
+        return self._entries[j]
+
+    def map_cols(self, j):
+        """Cover columns of the map built on d_j (None for j <= 0)."""
+        if j <= 0:
             return None
-        if i not in self._maps:
+        if j not in self._maps:
             g = len(self.N.twists)
-            dcols = self.res.differential(i)
-            src_rank = len(self.res.twist_list(i))
-            cols = []
-            for a in range(src_rank):
-                dcol = dcols[a]
+            src = j if self.step < 0 else j - 1
+            cols = [{} for _ in range(len(self.res.twist_list(src)) * g)]
+            for a, a_t, poly in self.entries(j):
                 for b in range(g):
-                    col = {}
-                    for (a_t, m), c in dcol.items():
+                    col = cols[a * g + b]
+                    for m, c in poly.items():
                         col[(a_t * g + b, m)] = c
-                    cols.append(col)
-            self._maps[i] = cols
-        return self._maps[i]
+            self._maps[j] = cols
+        return self._maps[j]
 
-    def out_map(self, i):
-        """(cols, target index) for the map leaving homological index i."""
-        cols = self.map_cols(i)
-        return (cols, i - 1) if cols is not None else None
-
-    def in_map(self, i):
-        cols = self.map_cols(i + 1)
-        return (cols, i + 1) if cols is not None else None
-
-
-class _HomComplex:
-    """Hom(F_M, N) as covered cochain complex; maps go i -> i+1."""
-
-    def __init__(self, M, N, top):
-        self.ring = M.ring
-        self.N = N
-        self.res = minimal_resolution(M, top + 1)
-        self.top = top
-        self._spaces = {}
-        self._maps = {}
-
-    def space(self, i):
-        if i not in self._spaces:
-            tw = self.res.twist_list(i)
-            self._spaces[i] = (
-                _hom_cover(tw, self.N),
-                _slot_relations(len(tw), self.N),
-            )
-        return self._spaces[i]
-
-    def map_cols(self, i):
-        """Columns of delta_i: E_{i-1} -> E_i, i.e. composition with d_i."""
-        if i <= 0:
+    def _map_at(self, i, tgt):
+        if min(i, tgt) < 0:
             return None
-        if i not in self._maps:
-            g = len(self.N.twists)
-            dcols = self.res.differential(i)  # columns over F_{i-1} positions
-            src_rank = len(self.res.twist_list(i - 1))
-            tgt_rank = len(self.res.twist_list(i))
-            cols = []
-            for a_src in range(src_rank):
-                entries = [
-                    elem_component(dcols[a_tgt], a_src)
-                    for a_tgt in range(tgt_rank)
-                ]
-                for b in range(g):
-                    col = {}
-                    for a_tgt, poly in enumerate(entries):
-                        for m, c in poly.items():
-                            col[(a_tgt * g + b, m)] = c
-                    cols.append(col)
-            self._maps[i] = cols
-        return self._maps[i]
+        return self.map_cols(max(i, tgt)), tgt
 
     def out_map(self, i):
-        cols = self.map_cols(i + 1)
-        return (cols, i + 1) if cols is not None else None
+        """(cols, target index) for the map leaving index i, or None."""
+        return self._map_at(i, i + self.step)
 
     def in_map(self, i):
-        cols = self.map_cols(i)
-        return (cols, i - 1) if cols is not None else None
+        """(cols, source index) for the map arriving at index i, or None."""
+        return self._map_at(i, i - self.step)
+
+    def rank(self, src, tgt, d):
+        """Rank in degree d of the map from index src to index tgt."""
+        if min(src, tgt) < 0:
+            return 0
+        key = (src, tgt, d)
+        if key not in self._ranks:
+            self._ranks[key] = self._block_rank(src, tgt, d)
+        return self._ranks[key]
+
+    def _block_rank(self, src, tgt, d):
+        pieces = self.N.pieces
+        p = self.ring.p
+        s_src = self.shifts(src)
+        rdims, cdims = self.slot_dims(src, d), self.slot_dims(tgt, d)
+        if not sum(rdims) or not sum(cdims):
+            return 0
+        roff = list(accumulate(rdims, initial=0))
+        coff = list(accumulate(cdims, initial=0))
+        A = np.zeros((roff[-1], coff[-1]), dtype=np.int64)
+        for a, a_t, poly in self.entries(max(src, tgt)):
+            if not rdims[a] or not cdims[a_t]:
+                continue
+            block = A[roff[a]:roff[a + 1], coff[a_t]:coff[a_t + 1]]
+            e = d - s_src[a]
+            for m, c in poly.items():
+                # c * entry <= (p-1)^2 < 2^62, so one sum cannot overflow
+                block[:] = (block + c * pieces.mult(m, e)) % p
+        return linalg.rank_mod(A, p)
+
+
+class _TensorComplex(_CoveredComplex):
+    """F_M (x) N: slot a of index i is N(-t_a); maps go i -> i-1."""
+
+    sign = 1
+    step = -1
+
+
+class _HomComplex(_CoveredComplex):
+    """Hom(F_M, N): slot a of index i is Hom(R(-t_a), N) = N(t_a); maps
+    go i -> i+1, by composition with d_{i+1}."""
+
+    sign = -1
+    step = 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +220,10 @@ def _is_zero_at(cx, i):
         # Over an artinian ring every graded piece of the complex sits in
         # the window [min twist, max twist + socle top], so checking that
         # all graded homology dimensions there vanish is an exact verdict.
-        tw_i, _ = cx.space(i)
+        tw_i = cx.cover(i)
         if not tw_i:
             return True
-        degrees = range(min(tw_i), max(tw_i) + top + 1)
-        return not _dims_at(cx, i, degrees, {}, {})
+        return not _dims_at(cx, i, range(min(tw_i), max(tw_i) + top + 1))
     gens, tw_i, rels_i = _kernel_gens_of_index(cx, i)
     if not tw_i:
         return True
@@ -222,72 +235,20 @@ def _is_zero_at(cx, i):
     return all(not normal_form(g, gb) for g in gens)
 
 
-def _dims_at(cx, i, degrees, rel_cache, row_cache):
-    """Graded dimensions of homology at index i: dim V - rk out - rk in."""
-    ring = cx.ring
-    p = ring.p
-    tw_i, rels_i = cx.space(i)
+def _dims_at(cx, i, degrees):
+    """Graded dimensions of homology at index i: dim C - rk out - rk in."""
     out = {}
-    if not tw_i:
-        return out
     for d in degrees:
-        nb_i, rows_i, rk_i = _rel_data(cx, i, d, rel_cache)
-        if nb_i == 0:
+        dim_c = sum(cx.slot_dims(i, d))
+        if dim_c == 0:
             continue
-        dim_v = nb_i - rk_i
-        rk_out = _induced_rank(cx, cx.out_map(i), i, d, rel_cache, row_cache, p)
-        rk_in = _induced_rank_in(cx, i, d, rel_cache, row_cache, p)
-        h = dim_v - rk_out - rk_in
+        h = (dim_c - cx.rank(i, i + cx.step, d)
+             - cx.rank(i - cx.step, i, d))
         if h < 0:
             raise AssertionError("negative homology dimension: broken complex")
         if h:
             out[d] = h
     return out
-
-
-def _rel_data(cx, i, d, rel_cache):
-    key = (i, d)
-    if key not in rel_cache:
-        tw, rels = cx.space(i)
-        basis, _, rows = linalg.relation_rows(cx.ring, tw, rels, d)
-        rk = linalg.rank_mod(rows, cx.ring.p) if rows else 0
-        rel_cache[key] = (len(basis), rows, rk)
-    return rel_cache[key]
-
-
-def _map_rows_cached(cx, src_i, tgt_i, cols, d, row_cache):
-    key = (src_i, tgt_i, d)
-    if key not in row_cache:
-        tw_s, _ = cx.space(src_i)
-        tw_t, _ = cx.space(tgt_i)
-        _, tgt_basis, rows = linalg.map_rows(cx.ring, tw_s, cols, tw_t, d)
-        row_cache[key] = rows
-    return row_cache[key]
-
-
-def _induced_rank(cx, out_spec, i, d, rel_cache, row_cache, p):
-    if out_spec is None:
-        return 0
-    cols, tgt = out_spec
-    rows = _map_rows_cached(cx, i, tgt, cols, d, row_cache)
-    _, tgt_rel_rows, tgt_rk = _rel_data(cx, tgt, d, rel_cache)
-    stacked = list(rows) + list(tgt_rel_rows)
-    if not stacked:
-        return 0
-    return linalg.rank_mod(stacked, p) - tgt_rk
-
-
-def _induced_rank_in(cx, i, d, rel_cache, row_cache, p):
-    inm = cx.in_map(i)
-    if inm is None:
-        return 0
-    cols, src = inm
-    rows = _map_rows_cached(cx, src, i, cols, d, row_cache)
-    _, rel_rows, rk = _rel_data(cx, i, d, rel_cache)
-    stacked = list(rows) + list(rel_rows)
-    if not stacked:
-        return 0
-    return linalg.rank_mod(stacked, p) - rk
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +307,11 @@ def _run_report(cx, kind, M, N, rng, cap, exact, dims):
         range=(lo, hi),
         cap=cap,
     )
-    rel_cache = {}
-    row_cache = {}
     for i in range(lo, hi + 1):
-        tw_i, _ = cx.space(i)
+        tw_i = cx.cover(i)
         if dims:
             dmin = min(tw_i) if tw_i else 0
-            degrees = range(dmin, cap + 1)
-            report.dims[i] = _dims_at(cx, i, degrees, rel_cache, row_cache)
+            report.dims[i] = _dims_at(cx, i, range(dmin, cap + 1))
         if exact:
             report.is_zero[i] = _is_zero_at(cx, i)
             if dims and report.is_zero[i] and report.dims.get(i):
@@ -411,26 +369,15 @@ def socle_dimension(ring):
         return None
     key = ring.key()
     if key not in _SOCLE_CACHE:
+        pieces = linalg.GradedPieces(ring, (0,), ())
+        variables = [tuple(int(j == v) for j in range(ring.nvars))
+                     for v in range(ring.nvars)]
         total = 0
         for d in range(top + 1):
-            nb = ring.hilbert(d)
-            if nb == 0:
-                continue
-            combined = None
-            for v in range(ring.nvars):
-                mono = tuple(1 if j == v else 0 for j in range(ring.nvars))
-                w = ring.weights[v]
-                _, _, rows = linalg.map_rows(
-                    ring, (w,), [{(0, mono): 1}], (0,), d + w
-                )
-                block = [list(r) for r in rows]
-                if combined is None:
-                    combined = block
-                else:
-                    for j in range(nb):
-                        combined[j] = combined[j] + block[j]
-            rk = linalg.rank_mod(combined, ring.p) if combined[0] else 0
-            total += nb - rk
+            nb = pieces.dim(d)
+            if nb:
+                mults = np.hstack([pieces.mult(x, d) for x in variables])
+                total += nb - linalg.rank_mod(mults, ring.p)
         _SOCLE_CACHE[key] = total
     return _SOCLE_CACHE[key]
 

@@ -85,6 +85,7 @@ class GradedModule:
                 edeg(col, self.twists, ring.weights)  # homogeneity check
                 rels.append(col)
         self.relations = tuple(rels)
+        self.pieces = linalg.GradedPieces(ring, self.twists, self.relations)
         self.name = name
         self._res = None
         self._ambient_res = None
@@ -147,9 +148,7 @@ class GradedModule:
         return not self.twists
 
     def hilbert_function(self, d):
-        if self.is_zero:
-            return 0
-        return linalg.module_dim(self.ring, self.twists, self.relations, d)
+        return self.pieces.dim(d)
 
     def hilbert_vector(self, lo, hi):
         return [self.hilbert_function(d) for d in range(lo, hi + 1)]

@@ -19,6 +19,10 @@ from .errors import (
 
 DEFAULT_CHARACTERISTIC = 32003
 
+# Dense linear algebra runs in int64: a product of two residues must stay
+# below 2^62 so that a sum of two, or a difference, cannot overflow.
+MAX_CHARACTERISTIC = 2**31 - 1
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -41,6 +45,11 @@ class PrimeField:
     def __init__(self, p: int = DEFAULT_CHARACTERISTIC):
         if not is_prime(p):
             raise NotPrimeError(f"characteristic {p} is not prime")
+        if p > MAX_CHARACTERISTIC:
+            raise NotPrimeError(
+                f"characteristic {p} is too large: exact int64 linear "
+                f"algebra needs p < 2^31"
+            )
         self.p = p
 
     def inv(self, a: int) -> int:
@@ -357,6 +366,7 @@ class QuotientRing:
         self._ambient = None
         self._ideal_gb = None
         self._std_cache = {}
+        self._nf_cache = {}  # monomial -> its normal form
         self._mono_cache = {}
         self._top_degree = -1
         if check and self.codim > 0:
@@ -421,12 +431,29 @@ class QuotientRing:
         return self._ideal_gb
 
     def nf(self, poly):
-        """Canonical representative of a polynomial modulo the quotient ideal."""
+        """Canonical representative of a polynomial modulo the quotient ideal.
+
+        Normal form is linear, so it is assembled from memoized normal
+        forms of the single monomials of poly.
+        """
         if self.codim == 0 or not poly:
             return poly
         from .groebner import nf_poly_mod_ideal
 
-        return nf_poly_mod_ideal(poly, self)
+        p = self.p
+        memo = self._nf_cache
+        out = {}
+        for m, c in poly.items():
+            r = memo.get(m)
+            if r is None:
+                r = memo[m] = nf_poly_mod_ideal({m: 1}, self)
+            for m2, c2 in r.items():
+                v = (out.get(m2, 0) + c * c2) % p
+                if v:
+                    out[m2] = v
+                else:
+                    out.pop(m2, None)
+        return out
 
     # -- graded pieces -----------------------------------------------------
 

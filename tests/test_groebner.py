@@ -15,12 +15,14 @@ from homlab import (
     parse_ring,
     syzygies,
 )
-from homlab.groebner import edeg, emul_term
+from homlab.groebner import e_sub_scaled, edeg, elead, emul_term
 from homlab.harness import random_module
+from homlab.ring import mono_div, mono_lcm
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
 SQ = parse_ring("p=32003; vars x,y; ci: x^2, y^2")
 Z3 = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2")
+CUBE = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2, z^2")
 
 
 def _random_elem(ring, rng, twists, deg):
@@ -157,6 +159,65 @@ def test_product_criterion_not_applied_to_modules():
     el = {(1, (0, 3, 0)): 1, (1, (3, 0, 0)): ring.p - 1}
     assert oracle.membership(ring, twists, [g1, g2], el)
     assert not normal_form(el, gb)
+
+
+def _random_submodule(ring, rng):
+    """Twists and 2-4 sparse homogeneous generators of rank 2 or 3."""
+    rank = rng.choice((2, 3))
+    twists = tuple(rng.randrange(2) for _ in range(rank))
+    gens = []
+    want = rng.randrange(2, 5)
+    while len(gens) < want:
+        deg = rng.randrange(1, 4) + max(twists)
+        g = {}
+        for pos, t in enumerate(twists):
+            monos = ring.monomials(deg - t)
+            if monos and rng.random() < 0.7:
+                for _ in range(rng.randrange(1, 3)):
+                    g[(pos, rng.choice(monos))] = rng.randrange(1, ring.p)
+        if g:
+            gens.append(g)
+    return twists, gens
+
+
+def _s_pairs_reduce_to_zero(gb):
+    """Buchberger's criterion on a returned basis."""
+    p = gb.ring.p
+    weights = gb.ring.weights
+    for i, f in enumerate(gb.basis):
+        (pf, mf), cf = elead(f, weights)
+        for g in gb.basis[i + 1:]:
+            (pg, mg), cg = elead(g, weights)
+            if pf != pg:
+                continue
+            lcm = mono_lcm(mf, mg)
+            s = e_sub_scaled(
+                emul_term(f, mono_div(lcm, mf), pow(cf, p - 2, p), p),
+                g, mono_div(lcm, mg), pow(cg, p - 2, p), p,
+            )
+            if normal_form(s, gb):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("ring", [CUBE.ambient(), CUBE, XY],
+                         ids=["xyz", "cube", "xy"])
+def test_random_module_bases_are_groebner(ring):
+    """Random rank-2/3 submodules: every S-pair of the returned basis
+    reduces to zero, and NF == 0 iff the oracle sees membership."""
+    for seed in range(300):
+        rng = random.Random(f"buchberger|{seed}")
+        twists, gens = _random_submodule(ring, rng)
+        gb = groebner(gens, ring, len(twists), twists)
+        assert _s_pairs_reduce_to_zero(gb), seed
+        deg = rng.randrange(2, 6)
+        if rng.random() < 0.5:
+            el = _random_combination(ring, rng, twists, gens, deg)
+        else:
+            el = _random_elem(ring, rng, twists, deg)
+        if el:
+            inside = not normal_form(el, gb)
+            assert inside == oracle.membership(ring, twists, gens, el), seed
 
 
 def test_degree_cap_raises_resource_error():

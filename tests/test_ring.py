@@ -40,6 +40,13 @@ def test_nonprime_characteristic_rejected():
         parse_ring("p=32004; vars x,y; ci: x*y")
 
 
+def test_characteristic_beyond_int64_arithmetic_rejected():
+    """Dense elimination in int64 is exact only for p < 2^31."""
+    with pytest.raises(NotPrimeError, match="2\\^31"):
+        parse_ring("p=4294967311; vars x,y; ci: x*y")
+    assert parse_ring("p=2147483647; vars x,y; ci: x*y").p == 2**31 - 1
+
+
 def test_malformed_text_rejected():
     for bad in ("", "vars ; ci: x", "p=7; vars x; ci: x +"):
         with pytest.raises(RingParseError):
