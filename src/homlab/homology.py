@@ -10,11 +10,12 @@ is the resolution entry acting by multiplication on a piece of N, and
 dim H = dim C - rank(out map) - rank(in map).  Zero verdicts are exact,
 by one of two routes: over artinian rings every graded piece lives
 inside a window bounded by the socle top degree, so vanishing of all
-dimensions there is a complete check; otherwise the complex is covered
-by free modules (one generator per slot and generator of N, modulo the
-relations of N in every slot) and kernel generators are reduced to zero
-against a Groebner basis of the image plus relations.  Verdicts are
-never read off truncated dimension tables.
+dimensions there is a complete check; otherwise, for this certificate
+only, each index is presented over a free cover (one generator per slot
+and generator of N, with N's relations copied into every slot) and
+kernel generators are reduced to zero against a Groebner basis of the
+image plus those relations.  Verdicts are never read off truncated
+dimension tables.
 """
 
 from __future__ import annotations
@@ -52,23 +53,15 @@ class _CoveredComplex:
         self._spaces = {}
         self._maps = {}
         self._entries = {}
-        self._shifts = {}
-        self._dims = {}    # (index, degree) -> slot dimensions
         self._ranks = {}   # (src index, tgt index, degree) -> rank
 
     def shifts(self, i):
-        if i not in self._shifts:
-            self._shifts[i] = tuple(self.sign * t
-                                    for t in self.res.twist_list(i))
-        return self._shifts[i]
+        return [self.sign * t for t in self.res.twist_list(i)]
 
     def slot_dims(self, i, d):
         """dim N_{d - s_a} for every slot a of index i."""
-        key = (i, d)
-        if key not in self._dims:
-            dim = self.N.pieces.dim
-            self._dims[key] = [dim(d - s) for s in self.shifts(i)]
-        return self._dims[key]
+        dim = self.N.pieces.dim
+        return [dim(d - s) for s in self.shifts(i)]
 
     def cover(self, i):
         """Twists of the free cover of index i: position a*gN + b."""

@@ -208,10 +208,6 @@ class GradedPieces:
         """k-dimension of N_e."""
         return len(self._piece(e)[0])
 
-    def project(self, vecs, e):
-        """Cover coordinates (rows) in degree e -> coordinates on N_e."""
-        return matmul_mod(vecs, self._piece(e)[1], self.ring.p)
-
     def mult(self, mono, e):
         """Matrix (rows = basis of N_e) of multiplication by a monomial."""
         key = (mono, e)
@@ -226,6 +222,8 @@ class GradedPieces:
                 cols = [{(b, mono): 1} for b in range(len(self.twists))]
                 _, _, rows = map_rows(self.ring, shifted, cols, self.twists,
                                       e + f)
-                mat = self.project(np.array(rows)[free], e + f)
+                # project the images onto the basis of N_{e+f}
+                mat = matmul_mod(np.array(rows)[free], self._piece(e + f)[1],
+                                 self.ring.p)
             self._mult[key] = mat
         return mat
