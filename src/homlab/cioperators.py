@@ -533,9 +533,11 @@ class PeriodicityReport:
                 "checked": list(self.checked)}
 
 
-def periodicity_isomorphism_check(res, window_start: int, eta_map=None,
+def periodicity_isomorphism_check(M: GradedModule, window_start: int,
+                                  bound: int, eta_map=None,
                                   seed=0) -> PeriodicityReport:
-    """Eventual 2-periodicity of a complexity-1 resolution, witnessed by eta.
+    """Eventual 2-periodicity of the resolution of a complexity-1 module,
+    witnessed by eta, on levels window_start .. bound.
 
     For levels i >= window_start the twists of F_{i+2} must equal those
     of F_i shifted by D, and the scalar part of eta: F_{i+2} -> F_i must
@@ -545,9 +547,8 @@ def periodicity_isomorphism_check(res, window_start: int, eta_map=None,
     """
     from .harness import complexity_estimate
 
-    M = res.module
     ring = M.ring
-    bound = res.computed_to
+    res = minimal_resolution(M, bound)
     start = window_start
     cx = complexity_estimate(M).value
     if cx != 1:

@@ -10,6 +10,12 @@ appended to the submodule; results are read modulo I.
 Syzygies are collected Schreyer-style: every basis element carries a
 witness expressing it over the input generators, and each reduction of an
 S-pair to zero yields a syzygy of the inputs.
+
+All term-by-term reduction is done by one routine, ``_reduce``: the
+Buchberger state reduces new generators and S-pairs with it, ``finalize``
+tail-reduces each basis element against the others (skipping itself),
+``normal_form`` reduces against a ``ModuleGroebnerBasis``, and
+``QuotientRing.nf`` reduces monomials against the ring's ideal basis.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    plead,
     wdeg,
 )
 
@@ -177,10 +182,49 @@ class _Item:
         self.deg = deg
 
 
+def _reduce(el, items, by_pos, p, weights, wit=None, skip=None):
+    """Fully reduce el against items; returns (normal form, witness).
+
+    by_pos maps a position to the indices of the items whose lead term
+    sits there; divisors are tried in that (insertion) order, and the
+    item at index skip is never used.  Terms are visited largest-first
+    through a lazy heap: stale entries are skipped, and subtractions
+    mutate the work dict in place, pushing only genuinely new terms.
+    Tail terms of a reducer multiple are strictly smaller than the term
+    they kill, so settled output terms never reappear.  The witness
+    invariant el = original - sum(wit_i * g_i) holds throughout.
+    """
+    out = {}
+    work = dict(el)
+    heap = [(_heap_key(pos, m, weights), (pos, m)) for (pos, m) in work]
+    heapq.heapify(heap)
+    if wit is not None:
+        wit = dict(wit)
+    while heap:
+        _, t = heapq.heappop(heap)
+        c = work.get(t)
+        if c is None:
+            continue
+        pos, mono = t
+        cand = None
+        for idx in by_pos.get(pos, ()):
+            if mono_divides(items[idx].lt[1], mono) and idx != skip:
+                cand = items[idx]
+                break
+        if cand is None:
+            out[t] = c
+            del work[t]
+        else:
+            q = mono_div(mono, cand.lt[1])
+            _isub(work, heap, cand.el, q, c, p, weights)
+            if wit is not None and cand.wit is not None:
+                _isub(wit, None, cand.wit, q, c, p, weights)
+    return out, wit
+
+
 class _GBState:
     def __init__(self, ring, rank, twists, track=False,
                  degree_cap=DEFAULT_DEGREE_CAP, pair_cap=DEFAULT_PAIR_CAP):
-        self.ring = ring
         self.p = ring.p
         self.weights = ring.weights
         self.rank = rank
@@ -194,74 +238,37 @@ class _GBState:
         self.pairs_done = 0
         self.syzygies = []
 
-    # -- reduction ---------------------------------------------------------
-
-    def reduce_full(self, el, wit=None, top=False):
-        """Reduce el against the basis; returns (normal form, witness).
-
-        Terms are visited largest-first through a lazy heap: stale
-        entries are skipped, and subtractions mutate the work dict in
-        place, pushing only genuinely new terms.  Tail terms of a
-        reducer multiple are strictly smaller than the term they kill,
-        so settled output terms never reappear.
-
-        With top=True reduction stops at the first irreducible lead
-        term (enough for the Buchberger loop and for zero-tests, since
-        a zero reduction always runs all the way down); the witness
-        invariant el = original - sum(wit_i * g_i) holds under any
-        reduction strategy.
-        """
-        p = self.p
-        weights = self.weights
-        out = {}
-        work = dict(el)
-        heap = [(_heap_key(pos, m, weights), (pos, m)) for (pos, m) in work]
-        heapq.heapify(heap)
-        if wit is not None:
-            wit = dict(wit)
-        while heap:
-            _, t = heapq.heappop(heap)
-            c = work.get(t)
-            if c is None:
-                continue
-            pos, mono = t
-            cand = None
-            for idx in self.by_pos.get(pos, ()):
-                if mono_divides(self.items[idx].lt[1], mono):
-                    cand = self.items[idx]
-                    break
-            if cand is None:
-                out[t] = c
-                del work[t]
-                if top:
-                    out.update(work)
-                    break
-            else:
-                q = mono_div(mono, cand.lt[1])
-                _isub(work, heap, cand.el, q, c, p, weights)
-                if wit is not None and cand.wit is not None:
-                    _isub(wit, None, cand.wit, q, c, p, weights)
-        return out, wit
+    def reduce_full(self, el, wit=None, skip=None):
+        """Reduce el against the basis; returns (normal form, witness)."""
+        return _reduce(el, self.items, self.by_pos, self.p, self.weights,
+                       wit, skip)
 
     # -- insertion ---------------------------------------------------------
 
     def add(self, el, wit=None):
         """Reduce a new generator against the basis and insert it."""
-        deg = edeg(el, self.twists, self.weights)
-        nf, wit = self.reduce_full(el, wit)
+        edeg(el, self.twists, self.weights)  # validates rank and homogeneity
+        self._insert(*self.reduce_full(el, wit))
+
+    def _insert(self, nf, wit):
+        """Record a reduced element and queue its S-pairs.
+
+        A zero remainder is a syzygy (kept when tracking); otherwise the
+        element is made monic and paired with every item whose lead term
+        sits at the same position.
+        """
+        p = self.p
         if not nf:
             if self.track and wit:
                 self.syzygies.append(wit)
             return
         lt, lc = elead(nf, self.weights)
-        inv = pow(lc, self.p - 2, self.p)
-        nf = escale(nf, inv, self.p)
+        inv = pow(lc, p - 2, p)
+        nf = escale(nf, inv, p)
         if wit is not None:
-            wit = escale(wit, inv, self.p)
+            wit = escale(wit, inv, p)
         idx = len(self.items)
-        deg = edeg(nf, self.twists, self.weights)
-        item = _Item(nf, wit, lt, deg)
-        self.items.append(item)
+        self.items.append(_Item(nf, wit, lt, edeg(nf, self.twists, self.weights)))
         self.by_pos.setdefault(lt[0], []).append(idx)
         for jdx in self.by_pos[lt[0]]:
             if jdx == idx:
@@ -305,33 +312,14 @@ class _GBState:
                 )
             else:
                 swit = None
-            nf, swit = self.reduce_full(sp, swit)
-            if not nf:
-                if self.track and swit:
-                    self.syzygies.append(swit)
-                continue
-            lt, lc = elead(nf, self.weights)
-            inv = pow(lc, p - 2, p)
-            nf = escale(nf, inv, p)
-            if swit is not None:
-                swit = escale(swit, inv, p)
-            idx = len(self.items)
-            item = _Item(nf, swit, lt, edeg(nf, self.twists, self.weights))
-            self.items.append(item)
-            self.by_pos.setdefault(lt[0], []).append(idx)
-            for jdx in self.by_pos[lt[0]]:
-                if jdx == idx:
-                    continue
-                other = self.items[jdx]
-                lcm2 = mono_lcm(other.lt[1], lt[1])
-                sdeg2 = wdeg(lcm2, self.weights) + self.twists[lt[0]]
-                if not self.track and self.rank == 1:
-                    # coprime criterion: sound for ideals only (see add)
-                    if mono_mul(other.lt[1], lt[1]) == lcm2:
-                        continue
-                heapq.heappush(self.pairs, (sdeg2, jdx, idx))
+            self._insert(*self.reduce_full(sp, swit))
 
     # -- post-processing ---------------------------------------------------
+
+    def _reindex(self):
+        self.by_pos = {}
+        for idx, item in enumerate(self.items):
+            self.by_pos.setdefault(item.lt[0], []).append(idx)
 
     def finalize(self):
         """Prune redundant lead terms, tail-reduce, and sort canonically."""
@@ -346,66 +334,17 @@ class _GBState:
             )
             if not redundant:
                 kept.append(i)
-        new_items = [self.items[i] for i in kept]
-        self.items = new_items
-        self.by_pos = {}
-        for idx, item in enumerate(self.items):
-            self.by_pos.setdefault(item.lt[0], []).append(idx)
+        self.items = [self.items[i] for i in kept]
+        self._reindex()
         # tail reduction against the other elements
         for idx, item in enumerate(self.items):
-            others = _GBView(self, exclude=idx)
-            nf, wit = others.reduce_full(item.el, item.wit)
-            item.el = nf
-            item.wit = wit
-            item.lt = elead(nf, self.weights)[0]
+            item.el, item.wit = self.reduce_full(item.el, item.wit, skip=idx)
+            item.lt = elead(item.el, self.weights)[0]
         self.items.sort(
             key=lambda it: (it.deg, term_key(it.lt[0], it.lt[1], self.weights),
                             elem_sort_key(it.el))
         )
-        self.by_pos = {}
-        for idx, item in enumerate(self.items):
-            self.by_pos.setdefault(item.lt[0], []).append(idx)
-
-
-class _GBView:
-    """Reduction view of a _GBState that skips one element."""
-
-    def __init__(self, state, exclude):
-        self.state = state
-        self.exclude = exclude
-
-    def reduce_full(self, el, wit):
-        s = self.state
-        p = s.p
-        weights = s.weights
-        out = {}
-        work = dict(el)
-        heap = [(_heap_key(pos, m, weights), (pos, m)) for (pos, m) in work]
-        heapq.heapify(heap)
-        if wit is not None:
-            wit = dict(wit)
-        while heap:
-            _, t = heapq.heappop(heap)
-            c = work.get(t)
-            if c is None:
-                continue
-            pos, mono = t
-            cand = None
-            for idx in s.by_pos.get(pos, ()):
-                if idx == self.exclude:
-                    continue
-                if mono_divides(s.items[idx].lt[1], mono):
-                    cand = s.items[idx]
-                    break
-            if cand is None:
-                out[t] = c
-                del work[t]
-            else:
-                q = mono_div(mono, cand.lt[1])
-                _isub(work, heap, cand.el, q, c, p, weights)
-                if wit is not None and cand.wit is not None:
-                    _isub(wit, None, cand.wit, q, c, p, weights)
-        return out, wit
+        self._reindex()
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +365,25 @@ class ModuleGroebnerBasis:
     twists: tuple
     basis: tuple
     order: str = ORDER_DESCRIPTOR
-    _by_pos: dict = field(default_factory=dict, repr=False, compare=False)
+    _items: tuple = field(init=False, repr=False, compare=False)
+    _by_pos: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_pos = {}
         weights = self.ring.weights
-        for idx, el in enumerate(self.basis):
-            if el:
-                lt, _ = elead(el, weights)
-                by_pos.setdefault(lt[0], []).append((lt[1], idx))
+        items = tuple(_Item(el, None, elead(el, weights)[0], None)
+                      for el in self.basis)
+        by_pos = {}
+        for idx, item in enumerate(items):
+            by_pos.setdefault(item.lt[0], []).append(idx)
+        object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_by_pos", by_pos)
 
 
-def _build_state(gens, ring, rank, twists, track, degree_cap, pair_cap,
-                 include_quotient=True):
+def _build_state(gens, ring, rank, twists, track, degree_cap, pair_cap):
     for j, g in enumerate(gens):
         edeg(g, twists, ring.weights)  # validates rank and homogeneity
     full = list(gens)
-    if include_quotient and ring.codim > 0:
+    if ring.codim > 0:
         full.extend(quotient_relation_gens(ring, rank))
     state = _GBState(ring, rank, twists, track=track,
                      degree_cap=degree_cap, pair_cap=pair_cap)
@@ -473,25 +413,8 @@ def groebner(gens, ring, rank, twists,
 def normal_form(el, gb: ModuleGroebnerBasis):
     """Unique fully reduced remainder of el against the basis."""
     ring = gb.ring
-    p = ring.p
-    weights = ring.weights
-    edeg(el, gb.twists, weights)  # rank / twist validation
-    out = {}
-    work = dict(el)
-    while work:
-        (pos, mono), c = elead(work, weights)
-        red = None
-        for lt_mono, idx in gb._by_pos.get(pos, ()):
-            if mono_divides(lt_mono, mono):
-                red = (lt_mono, gb.basis[idx])
-                break
-        if red is None:
-            out[(pos, mono)] = c
-            del work[(pos, mono)]
-        else:
-            q = mono_div(mono, red[0])
-            work = e_sub_scaled(work, red[1], q, c, p)
-    return out
+    edeg(el, gb.twists, ring.weights)  # rank / twist validation
+    return _reduce(el, gb._items, gb._by_pos, ring.p, ring.weights)[0]
 
 
 def syzygies(gens, ring, rank, twists,
@@ -587,49 +510,3 @@ def minimal_generators(gens, ring, rank, twists,
             state.add(nf)
             state.process()
     return accepted
-
-
-# ---------------------------------------------------------------------------
-# ideal (rank-one) helpers used by QuotientRing
-
-
-def ideal_groebner_polys(ring):
-    """Degrevlex GB of the quotient ideal, computed over the ambient ring."""
-    ambient = ring.ambient()
-    gens = [poly_to_elem(g) for g in ring.ci_generators]
-    state, _ = _build_state(gens, ambient, 1, (0,), track=False,
-                            degree_cap=10**9, pair_cap=DEFAULT_PAIR_CAP,
-                            include_quotient=False)
-    state.finalize()
-    return [elem_component(item.el, 0) for item in state.items]
-
-
-def nf_poly_mod_ideal(poly, ring):
-    """Normal form of a polynomial against the Groebner basis of the ideal."""
-    weights = ring.weights
-    p = ring.p
-    gb = ring.ideal_groebner()
-    leads = [plead(g, weights)[0] for g in gb]
-    out = {}
-    work = dict(poly)
-    while work:
-        mono = max(work, key=lambda m: drl_key(m, weights))
-        c = work[mono]
-        red = None
-        for (lm, g) in zip(leads, gb):
-            if mono_divides(lm, mono):
-                red = (lm, g)
-                break
-        if red is None:
-            out[mono] = c
-            del work[mono]
-        else:
-            q = mono_div(mono, red[0])
-            for m2, c2 in red[1].items():
-                t = mono_mul(m2, q)
-                v = (work.get(t, 0) - c * c2) % p
-                if v:
-                    work[t] = v
-                else:
-                    work.pop(t, None)
-    return out

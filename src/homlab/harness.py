@@ -6,6 +6,8 @@ the conclusion ("all higher groups vanish") is verified on a stated
 horizon.  A met hypothesis with a failed conclusion is recorded as a
 COUNTEREXAMPLE — for the proved theorems that is a self-test failure,
 for the open nonuniform-gap condition it goes to a findings log.
+Complete intersections are Cohen-Macaulay, so the theorems' depth A is
+read as ``ring.krull_dim``.
 """
 
 from __future__ import annotations
@@ -38,24 +40,6 @@ from .ring import QuotientRing, parse_ring, render_ring
 
 DEFAULT_CX_BOUND = 12
 WINDOW_SIZE = 8
-
-
-# ---------------------------------------------------------------------------
-# ring-level invariants
-
-
-def ring_codim(ring: QuotientRing) -> int:
-    return len(ring.ci_generators)
-
-
-def ring_dim(ring: QuotientRing) -> int:
-    """Krull dimension: nvars - codim for a verified complete intersection."""
-    return ring.nvars - ring_codim(ring)
-
-
-def ring_depth(ring: QuotientRing) -> int:
-    """Complete intersections are Cohen-Macaulay: depth = dim."""
-    return ring_dim(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +76,7 @@ def module_betti_table(M: GradedModule, bound: int) -> BettiTable:
     if M.is_zero:
         return BettiTable(entries={}, totals=[0] * (bound + 1))
     ring = M.ring
-    if ring_dim(ring) != 0:
+    if ring.krull_dim != 0:
         return betti_table(M, bound)
     k = residue_field_of(ring)
     res = minimal_resolution(k, bound + 1)
@@ -308,7 +292,7 @@ def check_T31(M, N, n, q, kind="Ext"):
     """Theorem: c+1 groups vanishing in arithmetic progression of odd gap q
     (starting above depth A - depth M) force all higher groups to vanish."""
     _require_odd("q", q)
-    bnd = ring_depth(M.ring) - depth(M)
+    bnd = M.ring.krull_dim - depth(M)
     if n <= bnd:
         raise ValueError(
             f"n = {n} must exceed depth A - depth M = {bnd}"
@@ -357,7 +341,7 @@ def check_finite_length(M, N, n, mode="l34", q=1):
         gap = 1
     else:
         raise ValueError(f"unknown finite-length mode {mode!r}")
-    bnd = ring_dim(M.ring) - depth(M)
+    bnd = M.ring.krull_dim - depth(M)
     if n <= bnd:
         raise ValueError(f"n = {n} must exceed dim A - depth M = {bnd}")
     c = complexity_estimate(M).value
@@ -366,7 +350,7 @@ def check_finite_length(M, N, n, mode="l34", q=1):
     rep.inputs["q"] = gap
     rep.details["c"] = c
     rep.details["length_N"] = fl.length
-    if ring_codim(M.ring) == 1:
+    if M.ring.codim == 1:
         rep.details["length_identity"] = length_identity_check(
             M, N, bnd, rep.horizon
         )
@@ -403,7 +387,7 @@ def check_T37(M, N, n, p, q, kind="Ext"):
     cx = complexity_estimate(M).value
     if cx != 2:
         raise ValueError(f"theorem needs complexity 2, estimated {cx}")
-    bnd = ring_depth(M.ring) - depth(M)
+    bnd = M.ring.krull_dim - depth(M)
     if n <= bnd:
         raise ValueError(f"n = {n} must exceed depth A - depth M = {bnd}")
     idxs = [n, n + p, n + p + q]
@@ -433,7 +417,7 @@ def explore_condition(M, N, n, gaps, kind="Ext", findings_path=None):
             f"need one gap per unit of complexity: cx = {cx}, "
             f"got {len(gaps)} gaps"
         )
-    bnd = ring_depth(M.ring) - depth(M)
+    bnd = M.ring.krull_dim - depth(M)
     if n <= bnd:
         raise ValueError(f"n = {n} must exceed depth A - depth M = {bnd}")
     idxs = [n]
@@ -469,7 +453,7 @@ def ext_jump_check(push, N, horizon=None):
     t = push.t
     shift_deg = t * push.degree
     jump = 2 * t  # q + 1 with q = 2t - 1
-    bnd = ring_depth(M.ring) - depth(M)
+    bnd = M.ring.krull_dim - depth(M)
     lo = max(0, bnd + 1)
     if horizon is None:
         horizon = 2 * jump + 8
@@ -568,11 +552,10 @@ def _sweep_one(ring, s, k, ringmod, ring_artinian, summary, findings_path):
         return
     summary.modules += 1
     cx = complexity_estimate(M).value
-    if cx > ring_codim(ring):
+    if cx > ring.codim:
         summary.cx_violations.append((ring_name, s, cx))
     dM = depth(M)
-    n_e = max(1, ring_depth(ring) - dM + 1)
-    n_d = max(1, ring_dim(ring) - dM + 1)
+    n = max(1, ring.krull_dim - dM + 1)
     targets = [("k", k), ("ring", ringmod)]
     for nname, N in targets:
         ident = (ring_name, s, nname)
@@ -586,17 +569,17 @@ def _sweep_one(ring, s, k, ringmod, ring_artinian, summary, findings_path):
                     (rep.theorem,) + ident + (rep.witness,)
                 )
 
-        record(check_T31(M, N, n_e, 1))
-        record(check_T32(M, N, n_e, 1))
+        record(check_T31(M, N, n, 1))
+        record(check_T32(M, N, n, 1))
         if nname == "k" or ring_artinian:
-            record(check_L34(M, N, n_d))
-            record(check_T35(M, N, n_d, 1))
-            record(check_T36(M, N, n_d, 1))
+            record(check_L34(M, N, n))
+            record(check_T35(M, N, n, 1))
+            record(check_T36(M, N, n, 1))
         if cx == 2:
-            record(check_T37(M, N, n_e, 1, 1))
-            record(check_T38(M, N, n_e, 1, 1))
+            record(check_T37(M, N, n, 1, 1))
+            record(check_T38(M, N, n, 1, 1))
         if cx >= 1:
-            rep = explore_condition(M, N, n_e, (1,) * cx,
+            rep = explore_condition(M, N, n, (1,) * cx,
                                     findings_path=findings_path)
             summary.checks_run += 1
             if rep.counterexample:
@@ -618,7 +601,7 @@ def corpus_sweep(rings=None, count=100, seed=0, findings_path=None,
         ring = parse_ring(spec) if isinstance(spec, str) else spec
         k = residue_field_of(ring)
         ringmod = GradedModule.free(ring, (0,), name="A")
-        ring_artinian = ring_dim(ring) == 0
+        ring_artinian = ring.krull_dim == 0
         for s in range(seed, seed + count):
             _sweep_one(ring, s, k, ringmod, ring_artinian, summary,
                        findings_path)

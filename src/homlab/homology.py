@@ -314,6 +314,32 @@ def _run_report(cx, kind, M, N, rng, cap, exact, dims):
     return report
 
 
+def _free_partner_report(complex_cls, kind, M, N, rng, cap, exact, dims):
+    """Report for a free N whose groups vanish above index 0.
+
+    Only index 0 is computed from the complex; every higher index is
+    recorded as zero without building it.
+    """
+    lo, hi = rng
+    if lo <= 0:
+        cx = complex_cls(M, N, 0)
+        report = _run_report(cx, kind, M, N, (lo, 0), cap, exact, dims)
+        report.range = (lo, hi)
+    else:
+        report = HomologyReport(
+            kind=kind,
+            pair=(M.name or "M", N.name or "N"),
+            range=(lo, hi),
+            cap=cap,
+        )
+    for i in range(max(lo, 1), hi + 1):
+        if exact:
+            report.is_zero[i] = True
+        if dims:
+            report.dims[i] = {}
+    return report
+
+
 def tor(M: GradedModule, N: GradedModule, rng, cap=None,
         exact=True, dims=True) -> HomologyReport:
     """Tor_i(M, N) for i in rng = (lo, hi).
@@ -326,23 +352,8 @@ def tor(M: GradedModule, N: GradedModule, rng, cap=None,
     if cap is None:
         cap = _default_cap(M, N, hi)
     if not N.relations and N.twists and not M.is_zero:
-        if lo <= 0:
-            cx = _TensorComplex(M, N, 0)
-            report = _run_report(cx, "Tor", M, N, (lo, 0), cap, exact, dims)
-            report.range = (lo, hi)
-        else:
-            report = HomologyReport(
-                kind="Tor",
-                pair=(M.name or "M", N.name or "N"),
-                range=(lo, hi),
-                cap=cap,
-            )
-        for i in range(max(lo, 1), hi + 1):
-            if exact:
-                report.is_zero[i] = True
-            if dims:
-                report.dims[i] = {}
-        return report
+        return _free_partner_report(_TensorComplex, "Tor", M, N, rng, cap,
+                                    exact, dims)
     cx = _TensorComplex(M, N, hi)
     return _run_report(cx, "Tor", M, N, (lo, hi), cap, exact, dims)
 
@@ -388,23 +399,8 @@ def ext(M: GradedModule, N: GradedModule, rng, cap=None,
         cap = _default_cap(M, N, hi)
     if (not N.relations and N.twists and not M.is_zero
             and socle_dimension(M.ring) == 1):
-        if lo <= 0:
-            cx = _HomComplex(M, N, 0)
-            report = _run_report(cx, "Ext", M, N, (lo, 0), cap, exact, dims)
-            report.range = (lo, hi)
-        else:
-            report = HomologyReport(
-                kind="Ext",
-                pair=(M.name or "M", N.name or "N"),
-                range=(lo, hi),
-                cap=cap,
-            )
-        for i in range(max(lo, 1), hi + 1):
-            if exact:
-                report.is_zero[i] = True
-            if dims:
-                report.dims[i] = {}
-        return report
+        return _free_partner_report(_HomComplex, "Ext", M, N, rng, cap,
+                                    exact, dims)
     cx = _HomComplex(M, N, hi)
     return _run_report(cx, "Ext", M, N, (lo, hi), cap, exact, dims)
 

@@ -227,14 +227,12 @@ class FreeResolution:
     """
 
     def __init__(self, module: GradedModule):
-        self.module = module
+        # The module's relations, not the module: the module owns its
+        # resolution, and a back reference would make the pair a cycle.
         self.ring = module.ring
-        if module.is_zero:
-            self.twists = [()]
-            self.diffs = []
-        else:
-            self.twists = [tuple(module.twists)]
-            self.diffs = []
+        self.relations = module.relations
+        self.twists = [tuple(module.twists)]
+        self.diffs = []
 
     @property
     def computed_to(self):
@@ -278,7 +276,7 @@ class FreeResolution:
             n = self.computed_to
             src_twists = self.twists[n]
             if n == 0:
-                kern = list(self.module.relations)
+                kern = list(self.relations)
             else:
                 kern = kernel_of_map(
                     self.diffs[n - 1], self.ring,

@@ -189,12 +189,6 @@ def is_homogeneous(a, weights):
     return True
 
 
-def plead(a, weights):
-    """(monomial, coefficient) of the degrevlex leading term."""
-    m = max(a, key=lambda mo: drl_key(mo, weights))
-    return m, a[m]
-
-
 # ---------------------------------------------------------------------------
 # parsing and rendering
 
@@ -420,14 +414,17 @@ class QuotientRing:
     # -- ideal normal forms ------------------------------------------------
 
     def ideal_groebner(self):
-        """Degrevlex Groebner basis of the quotient ideal, as polynomials."""
+        """Degrevlex Groebner basis of the quotient ideal over the ambient
+        ring, as the finalized rank-one Buchberger state that the
+        groebner reducer reads (items and lead-term lookup)."""
         if self._ideal_gb is None:
-            if self.codim == 0:
-                self._ideal_gb = ()
-            else:
-                from .groebner import ideal_groebner_polys
+            from .groebner import DEFAULT_PAIR_CAP, _build_state, poly_to_elem
 
-                self._ideal_gb = tuple(ideal_groebner_polys(self))
+            gens = [poly_to_elem(g) for g in self.ci_generators]
+            state, _ = _build_state(gens, self.ambient(), 1, (0,), False,
+                                    10**9, DEFAULT_PAIR_CAP)
+            state.finalize()
+            self._ideal_gb = state
         return self._ideal_gb
 
     def nf(self, poly):
@@ -438,15 +435,14 @@ class QuotientRing:
         """
         if self.codim == 0 or not poly:
             return poly
-        from .groebner import nf_poly_mod_ideal
-
         p = self.p
         memo = self._nf_cache
         out = {}
         for m, c in poly.items():
             r = memo.get(m)
             if r is None:
-                r = memo[m] = nf_poly_mod_ideal({m: 1}, self)
+                nf, _ = self.ideal_groebner().reduce_full({(0, m): 1})
+                r = memo[m] = {mono: v for (_, mono), v in nf.items()}
             for m2, c2 in r.items():
                 v = (out.get(m2, 0) + c * c2) % p
                 if v:
@@ -475,7 +471,7 @@ class QuotientRing:
         if d < 0:
             return []
         if d not in self._std_cache:
-            leads = [plead(g, self.weights)[0] for g in self.ideal_groebner()]
+            leads = [item.lt[1] for item in self.ideal_groebner().items]
             self._std_cache[d] = [
                 m
                 for m in self.monomials(d)

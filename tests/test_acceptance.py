@@ -31,7 +31,6 @@ from homlab import (
     tor,
     verify_reduction,
 )
-from homlab.harness import ring_dim
 from homlab.resolution import depth
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
@@ -167,7 +166,7 @@ def test_criterion_l34_length_identity():
             seed += 1
             if M.is_zero or complexity_estimate(M).value > 1:
                 continue
-            bnd = ring_dim(XY) - depth(M)
+            bnd = XY.krull_dim - depth(M)
             horizon = 2 * (bnd + 1) + 6
             assert length_identity_check(M, k, bnd, horizon)
             checked += 1

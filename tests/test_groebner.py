@@ -17,7 +17,7 @@ from homlab import (
 )
 from homlab.groebner import e_sub_scaled, edeg, elead, emul_term
 from homlab.harness import random_module
-from homlab.ring import mono_div, mono_lcm
+from homlab.ring import mono_div, mono_divides, mono_lcm
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
 SQ = parse_ring("p=32003; vars x,y; ci: x^2, y^2")
@@ -200,15 +200,29 @@ def _s_pairs_reduce_to_zero(gb):
     return True
 
 
+def _reducible(el, leads, skip=None):
+    """Terms of el divisible by a lead term (other than leads[skip])
+    at their position."""
+    return [(pos, m) for (pos, m) in el
+            for j, (pj, mj) in enumerate(leads)
+            if j != skip and pj == pos and mono_divides(mj, m)]
+
+
 @pytest.mark.parametrize("ring", [CUBE.ambient(), CUBE, XY],
                          ids=["xyz", "cube", "xy"])
 def test_random_module_bases_are_groebner(ring):
-    """Random rank-2/3 submodules: every S-pair of the returned basis
-    reduces to zero, and NF == 0 iff the oracle sees membership."""
+    """Random rank-2/3 submodules: the returned basis is auto-reduced and
+    every S-pair of it reduces to zero; normal forms are fully reduced,
+    differ from their input by a member, and NF == 0 iff the oracle
+    sees membership."""
+    zero = (0,) * ring.nvars
     for seed in range(300):
         rng = random.Random(f"buchberger|{seed}")
         twists, gens = _random_submodule(ring, rng)
         gb = groebner(gens, ring, len(twists), twists)
+        leads = [elead(f, ring.weights)[0] for f in gb.basis]
+        for i, f in enumerate(gb.basis):
+            assert not _reducible(f, leads, skip=i), seed
         assert _s_pairs_reduce_to_zero(gb), seed
         deg = rng.randrange(2, 6)
         if rng.random() < 0.5:
@@ -216,8 +230,11 @@ def test_random_module_bases_are_groebner(ring):
         else:
             el = _random_elem(ring, rng, twists, deg)
         if el:
-            inside = not normal_form(el, gb)
-            assert inside == oracle.membership(ring, twists, gens, el), seed
+            nf = normal_form(el, gb)
+            assert not _reducible(nf, leads), seed
+            rest = e_sub_scaled(el, nf, zero, 1, ring.p)
+            assert not rest or oracle.membership(ring, twists, gens, rest), seed
+            assert (not nf) == oracle.membership(ring, twists, gens, el), seed
 
 
 def test_degree_cap_raises_resource_error():

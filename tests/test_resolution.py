@@ -1,5 +1,8 @@
 """Resolutions: exactness, minimality, Betti tables, depth."""
 
+import gc
+import weakref
+
 import pytest
 
 import oracle
@@ -164,3 +167,19 @@ def test_resolution_deterministic():
         assert a.twist_list(n) == b.twist_list(n)
         if n:
             assert a.differential(n) == b.differential(n)
+
+
+def test_resolved_module_freed_by_reference_counting():
+    """A module and its resolutions form no reference cycle, so dropping
+    the last reference frees them without the cyclic collector."""
+    M = random_module(SQ, 2)
+    minimal_resolution(M, 4)
+    depth(M)  # also builds the ambient resolution
+    refs = [weakref.ref(M), weakref.ref(M._res),
+            weakref.ref(M._ambient_res)]
+    gc.disable()
+    try:
+        del M
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()

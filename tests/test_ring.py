@@ -1,5 +1,7 @@
 """Ring layer: parsing, arithmetic, grading, CI verification."""
 
+import random
+
 import pytest
 
 import oracle
@@ -63,6 +65,23 @@ def test_quotient_normal_form_kills_ideal():
     ring = parse_ring(XY)
     assert ring.nf(ring.parse("x*y")) == {}
     assert ring.nf(ring.parse("x^2*y + x")) == ring.parse("x")
+    # random homogeneous polynomials: nf(f) is a combination of standard
+    # monomials and f - nf(f) lies in the ideal (oracle row span)
+    rng = random.Random(5)
+    for text in ("p=32003; vars x,y; ci: x^2 - y^2, x*y",
+                 "p=32003; vars x,y,z; ci: x^2, y^2, z^2"):
+        ring = parse_ring(text)
+        for _ in range(40):
+            d = rng.randrange(6)
+            f = {m: rng.randrange(1, ring.p) for m in ring.monomials(d)
+                 if rng.random() < 0.6}
+            nf = ring.nf(f)
+            assert set(nf) <= set(ring.standard_monomials(d))
+            _, index, rows = oracle.ideal_rows(ring, d)
+            rest = oracle.poly_row(f, index, ring.p)
+            for m, c in nf.items():
+                rest[index[m]] = (rest[index[m]] - c) % ring.p
+            assert oracle.in_rowspan(rows, rest, ring.p)
 
 
 def test_hilbert_function_matches_oracle():
