@@ -398,11 +398,11 @@ def verify_reduction(push: PushoutModule, N: GradedModule = None,
     exact sequences against N telescope per internal degree.  Failures
     are flags, never exceptions.
     """
-    from .harness import complexity_estimate
+    from .harness import complexity_estimate, residue_field_of
 
     ring = push.module.ring
     if N is None:
-        N = GradedModule.residue_field(ring)
+        N = residue_field_of(ring)
     cx_M = complexity_estimate(push.M).value
     cx_K = complexity_estimate(push.module).value
     flags = {}

@@ -451,13 +451,10 @@ def syzygies(gens, ring, rank, twists,
             continue
         seen.add(key)
         out.append(proj)
-    out.sort(key=lambda el: (edeg(el, _syz_twists(gens, twists, ring), ring.weights),
+    syz_twists = tuple(edeg(g, twists, ring.weights) or 0 for g in gens)
+    out.sort(key=lambda el: (edeg(el, syz_twists, ring.weights),
                              elem_sort_key(el)))
     return out
-
-
-def _syz_twists(gens, twists, ring):
-    return tuple(edeg(g, twists, ring.weights) or 0 for g in gens)
 
 
 def kernel_of_map(cols, ring, source_twists, target_twists,

@@ -23,7 +23,6 @@ from .errors import (
     ZeroModuleError,
 )
 from .homology import (
-    HomologyReport,
     ext,
     finite_length_test,
     tor,
@@ -42,27 +41,11 @@ DEFAULT_CX_BOUND = 12
 WINDOW_SIZE = 8
 
 
-# ---------------------------------------------------------------------------
-# per-ring caches
-
-
-_K_CACHE = {}
-
-
 def residue_field_of(ring: QuotientRing) -> GradedModule:
-    """One shared k per ring, so its resolution is computed only once."""
-    key = ring.key()
-    if key not in _K_CACHE:
-        _K_CACHE[key] = GradedModule.residue_field(ring)
-    return _K_CACHE[key]
-
-
-def _top_socle_degree(ring: QuotientRing) -> int:
-    """Largest degree with standard monomials (artinian rings only)."""
-    top = ring.top_degree()
-    if top is None:
-        raise ValueError("socle top degree needs an artinian ring")
-    return top
+    """The ring's one k, so its resolution is computed only once."""
+    if ring._residue_field is None:
+        ring._residue_field = GradedModule.residue_field(ring)
+    return ring._residue_field
 
 
 def module_betti_table(M: GradedModule, bound: int) -> BettiTable:
@@ -85,7 +68,7 @@ def module_betti_table(M: GradedModule, bound: int) -> BettiTable:
          if res.twist_list(i)),
         default=0,
     )
-    cap = max_u + max(M.twists) + _top_socle_degree(ring)
+    cap = max_u + max(M.twists) + ring.top_degree()
     rep = tor(k, M, (0, bound), cap=cap, exact=False, dims=True)
     entries = {}
     totals = []
@@ -145,7 +128,7 @@ def complexity_estimate(arg, bound: int = DEFAULT_CX_BOUND) -> ComplexityEstimat
     if isinstance(arg, GradedModule):
         if arg.is_zero:
             return ComplexityEstimate(0, "finite-pd", (0, 0), "exact", [0])
-        cached = getattr(arg, "_cx_estimate", None)
+        cached = arg._cx_estimate
         if cached is not None and cached[0] == bound:
             return cached[1]
         bt = module_betti_table(arg, bound)
@@ -236,30 +219,6 @@ def _require_odd(name, value):
         )
 
 
-def _zero_strip(kind, M, N, lo, hi, cap=None):
-    """Exact vanishing verdicts for indices lo..hi; returns report.
-
-    Verdicts are cached per (module, partner, kind) so overlapping checker
-    windows against the same pair never recompute a group.
-    """
-    cache = M.__dict__.setdefault("_strip_cache", {})
-    verdicts = cache.setdefault((kind, N.key(), cap), {})
-    missing = [i for i in range(lo, hi + 1) if i not in verdicts]
-    if missing:
-        fn = tor if kind == "Tor" else ext
-        rep = fn(M, N, (min(missing), max(missing)), cap=cap,
-                 exact=True, dims=False)
-        verdicts.update(rep.is_zero)
-    out = HomologyReport(
-        kind=kind,
-        pair=(M.name or "M", N.name or "N"),
-        range=(lo, hi),
-        cap=cap or 0,
-    )
-    out.is_zero = {i: verdicts[i] for i in range(lo, hi + 1)}
-    return out
-
-
 def _gap_check(theorem, kind, M, N, n, idxs, lower_bound):
     """Shared engine: hypothesis at idxs, conclusion on (lower_bound, horizon]."""
     if M.is_zero or N.is_zero:
@@ -267,12 +226,13 @@ def _gap_check(theorem, kind, M, N, n, idxs, lower_bound):
     horizon = 2 * max(idxs) + 6 if idxs else 2 * n + 6
     lo_c = max(0, lower_bound + 1)
     strip_lo = min([lo_c] + list(idxs))
-    rep_h = _zero_strip(kind, M, N, min(idxs), max(idxs)) if idxs else None
+    fn = tor if kind == "Tor" else ext
+    rep_h = fn(M, N, (min(idxs), max(idxs)), dims=False) if idxs else None
     hyp = all(rep_h.is_zero[i] for i in idxs) if idxs else True
     concl = None
     witness = ""
     if hyp:
-        rep_c = _zero_strip(kind, M, N, strip_lo, horizon)
+        rep_c = fn(M, N, (strip_lo, horizon), dims=False)
         concl = all(rep_c.is_zero[i] for i in range(lo_c, horizon + 1))
         witness = rep_c.strip()
     elif rep_h is not None:
@@ -460,7 +420,7 @@ def ext_jump_check(push, N, horizon=None):
     if K.is_zero:
         vanish = True
     else:
-        repK = _zero_strip("Ext", K, N, lo, horizon)
+        repK = ext(K, N, (lo, horizon), dims=False)
         vanish = all(repK.is_zero[i] for i in range(lo, horizon + 1))
     details = {"lower_bound": bnd, "horizon": horizon, "jump": jump,
                "K_vanishes": vanish}

@@ -16,6 +16,12 @@ and generator of N, with N's relations copied into every slot) and
 kernel generators are reduced to zero against a Groebner basis of the
 image plus those relations.  Verdicts are never read off truncated
 dimension tables.
+
+Exact verdicts are memoized on M, one index at a time, keyed by
+(kind, N.key()): the vanishing checkers ask overlapping index windows of
+the same pair, and a memoized index is answered without building the
+complex or extending M's resolution.  The degree cap only bounds the
+dimension tables, never a verdict, so it is not part of the key.
 """
 
 from __future__ import annotations
@@ -38,17 +44,20 @@ DEFAULT_CAP_PAD = 5
 
 
 class _CoveredComplex:
-    """F_M (x) N or Hom(F_M, N), index by index.
+    """F_M (x) N (kind "Tor") or Hom(F_M, N) (kind "Ext"), index by index.
 
     ``sign`` fixes the slot shifts s_a = sign * t_a (slot a of index i is
-    N(-s_a)) and ``step`` the direction of the maps (i -> i + step).  The
-    map between indices j and j - 1 comes from d_j: F_j -> F_{j-1}; its
-    entry (a', a) joins slot a of index j with slot a' of index j - 1.
+    N(-s_a): N(-t_a) for Tor, Hom(R(-t_a), N) = N(t_a) for Ext) and
+    ``step`` the direction of the maps (i -> i + step: down for Tor, up
+    for Ext by composition with d_{i+1}).  The map between indices j and
+    j - 1 comes from d_j: F_j -> F_{j-1}; its entry (a', a) joins slot a
+    of index j with slot a' of index j - 1.
     """
 
-    def __init__(self, M, N, top):
+    def __init__(self, M, N, top, kind):
         self.ring = M.ring
         self.N = N
+        self.sign, self.step = (1, -1) if kind == "Tor" else (-1, 1)
         self.res = minimal_resolution(M, top + 1)
         self._spaces = {}
         self._maps = {}
@@ -150,21 +159,6 @@ class _CoveredComplex:
                 # c * entry <= (p-1)^2 < 2^62, so one sum cannot overflow
                 block[:] = (block + c * pieces.mult(m, e)) % p
         return linalg.rank_mod(A, p)
-
-
-class _TensorComplex(_CoveredComplex):
-    """F_M (x) N: slot a of index i is N(-t_a); maps go i -> i-1."""
-
-    sign = 1
-    step = -1
-
-
-class _HomComplex(_CoveredComplex):
-    """Hom(F_M, N): slot a of index i is Hom(R(-t_a), N) = N(t_a); maps
-    go i -> i+1, by composition with d_{i+1}."""
-
-    sign = -1
-    step = 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,8 @@ def _default_cap(M, N, hi):
     return mx + 2 * hi + DEFAULT_CAP_PAD
 
 
-def _run_report(cx, kind, M, N, rng, cap, exact, dims):
+def _homology(kind, M, N, rng, cap, exact, dims):
+    """The one body behind tor and ext."""
     lo, hi = rng
     if lo < 0 or hi < lo:
         raise ValueError("bad homological index range")
@@ -298,45 +293,33 @@ def _run_report(cx, kind, M, N, rng, cap, exact, dims):
         kind=kind,
         pair=(M.name or "M", N.name or "N"),
         range=(lo, hi),
-        cap=cap,
+        cap=_default_cap(M, N, hi) if cap is None else cap,
     )
+    # free partner: the groups above index 0 vanish without the complex
+    free = (not N.relations and N.twists and not M.is_zero
+            and (kind == "Tor" or socle_dimension(M.ring) == 1))
+    verdicts = M._verdicts.setdefault((kind, N.key()), {}) if exact else {}
+    built = [i for i in range(lo, hi + 1)
+             if (dims or i not in verdicts) and not (free and i > 0)]
+    cx = _CoveredComplex(M, N, max(built), kind) if built else None
     for i in range(lo, hi + 1):
-        tw_i = cx.cover(i)
+        if free and i > 0:
+            if exact:
+                report.is_zero[i] = True
+            if dims:
+                report.dims[i] = {}
+            continue
         if dims:
-            dmin = min(tw_i) if tw_i else 0
-            report.dims[i] = _dims_at(cx, i, range(dmin, cap + 1))
+            dmin = min(cx.cover(i), default=0)
+            report.dims[i] = _dims_at(cx, i, range(dmin, report.cap + 1))
         if exact:
-            report.is_zero[i] = _is_zero_at(cx, i)
-            if dims and report.is_zero[i] and report.dims.get(i):
+            if i not in verdicts:
+                verdicts[i] = _is_zero_at(cx, i)
+            report.is_zero[i] = verdicts[i]
+            if dims and verdicts[i] and report.dims[i]:
                 raise AssertionError(
                     f"{kind} certified zero at {i} but graded dims nonzero"
                 )
-    return report
-
-
-def _free_partner_report(complex_cls, kind, M, N, rng, cap, exact, dims):
-    """Report for a free N whose groups vanish above index 0.
-
-    Only index 0 is computed from the complex; every higher index is
-    recorded as zero without building it.
-    """
-    lo, hi = rng
-    if lo <= 0:
-        cx = complex_cls(M, N, 0)
-        report = _run_report(cx, kind, M, N, (lo, 0), cap, exact, dims)
-        report.range = (lo, hi)
-    else:
-        report = HomologyReport(
-            kind=kind,
-            pair=(M.name or "M", N.name or "N"),
-            range=(lo, hi),
-            cap=cap,
-        )
-    for i in range(max(lo, 1), hi + 1):
-        if exact:
-            report.is_zero[i] = True
-        if dims:
-            report.dims[i] = {}
     return report
 
 
@@ -348,17 +331,7 @@ def tor(M: GradedModule, N: GradedModule, rng, cap=None,
     whose exactness in positive degrees is witnessed by the syzygy
     computation, so those groups vanish without further work.
     """
-    lo, hi = rng
-    if cap is None:
-        cap = _default_cap(M, N, hi)
-    if not N.relations and N.twists and not M.is_zero:
-        return _free_partner_report(_TensorComplex, "Tor", M, N, rng, cap,
-                                    exact, dims)
-    cx = _TensorComplex(M, N, hi)
-    return _run_report(cx, "Tor", M, N, (lo, hi), cap, exact, dims)
-
-
-_SOCLE_CACHE = {}
+    return _homology("Tor", M, N, rng, cap, exact, dims)
 
 
 def socle_dimension(ring):
@@ -371,8 +344,7 @@ def socle_dimension(ring):
     top = ring.top_degree()
     if top is None:
         return None
-    key = ring.key()
-    if key not in _SOCLE_CACHE:
+    if ring._socle_dim is None:
         pieces = linalg.GradedPieces(ring, (0,), ())
         variables = [tuple(int(j == v) for j in range(ring.nvars))
                      for v in range(ring.nvars)]
@@ -382,8 +354,8 @@ def socle_dimension(ring):
             if nb:
                 mults = np.hstack([pieces.mult(x, d) for x in variables])
                 total += nb - linalg.rank_mod(mults, ring.p)
-        _SOCLE_CACHE[key] = total
-    return _SOCLE_CACHE[key]
+        ring._socle_dim = total
+    return ring._socle_dim
 
 
 def ext(M: GradedModule, N: GradedModule, rng, cap=None,
@@ -394,15 +366,7 @@ def ext(M: GradedModule, N: GradedModule, rng, cap=None,
     the ring is self-injective, so every higher Ext group vanishes; only
     Hom(M, N) needs the complex.
     """
-    lo, hi = rng
-    if cap is None:
-        cap = _default_cap(M, N, hi)
-    if (not N.relations and N.twists and not M.is_zero
-            and socle_dimension(M.ring) == 1):
-        return _free_partner_report(_HomComplex, "Ext", M, N, rng, cap,
-                                    exact, dims)
-    cx = _HomComplex(M, N, hi)
-    return _run_report(cx, "Ext", M, N, (lo, hi), cap, exact, dims)
+    return _homology("Ext", M, N, rng, cap, exact, dims)
 
 
 def tor_symmetry_check(M: GradedModule, N: GradedModule, rng, cap=None) -> bool:

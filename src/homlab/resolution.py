@@ -89,6 +89,11 @@ class GradedModule:
         self.name = name
         self._res = None
         self._ambient_res = None
+        # (kind, N.key()) -> {index: exact zero verdict};
+        # read by homology._homology
+        self._verdicts = {}
+        # (bound, ComplexityEstimate); read by harness.complexity_estimate
+        self._cx_estimate = None
         if not _minimal:
             raise ValueError("use GradedModule.present() to construct")
 

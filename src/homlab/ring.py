@@ -363,6 +363,8 @@ class QuotientRing:
         self._nf_cache = {}  # monomial -> its normal form
         self._mono_cache = {}
         self._top_degree = -1
+        self._residue_field = None  # filled by harness.residue_field_of
+        self._socle_dim = None  # filled by homology.socle_dimension
         if check and self.codim > 0:
             report = check_complete_intersection(self.ambient(), self.ci_generators)
             if not report.ok:

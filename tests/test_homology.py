@@ -17,7 +17,7 @@ from homlab.harness import (
     random_module,
     residue_field_of,
 )
-from homlab.homology import _HomComplex, _TensorComplex
+from homlab.homology import _CoveredComplex
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
 SQ = parse_ring("p=32003; vars x,y; ci: x^2, y^2")
@@ -64,9 +64,8 @@ ORACLE_RINGS = [parse_ring(s) for s in DEFAULT_CORPUS_RINGS] + [
 ]
 
 
-@pytest.mark.parametrize("kind,Cx", [("Tor", _TensorComplex),
-                                     ("Ext", _HomComplex)])
-def test_homology_dims_match_oracle(kind, Cx):
+@pytest.mark.parametrize("kind", ["Tor", "Ext"])
+def test_homology_dims_match_oracle(kind):
     """Graded Tor/Ext dims and Hilbert functions recomputed by the
     brute-force oracle."""
     fn = tor if kind == "Tor" else ext
@@ -85,7 +84,7 @@ def test_homology_dims_match_oracle(kind, Cx):
                     assert X.hilbert_function(d) == oracle.module_piece_dim(
                         ring, X.twists, X.relations, d)
             rep = fn(M, N, (0, hi), cap=cap, exact=False)
-            cx = Cx(M, N, hi)
+            cx = _CoveredComplex(M, N, hi, kind)
             for i in range(hi + 1):
                 here = cx.space(i)
                 if not here[0]:
@@ -175,8 +174,43 @@ def test_socle_dimension():
 
 
 def test_homology_range_validation():
+    """Bad ranges are refused for every partner, the free one too (its
+    shortcut skips the complex, not the check)."""
     M = GradedModule.residue_field(SQ)
-    with pytest.raises(ValueError):
-        tor(M, M, (3, 1))
-    with pytest.raises(ValueError):
-        ext(M, M, (-1, 2))
+    A = GradedModule.free(SQ, [0], name="A")
+    for N in (M, A):
+        for fn in (tor, ext):
+            for rng in ((3, 1), (-1, 2)):
+                with pytest.raises(ValueError):
+                    fn(M, N, rng)
+
+
+def test_equal_rings_each_own_their_residue_field():
+    spec = "p=32003; vars x,y; ci: x^2, y^2"
+    r1, r2 = parse_ring(spec), parse_ring(spec)
+    k1, k2 = residue_field_of(r1), residue_field_of(r2)
+    assert k1.ring is r1 and k2.ring is r2
+    assert residue_field_of(r1) is k1
+
+
+def test_memoized_verdicts_keep_kind_and_partner_apart():
+    """Exact tor/ext calls on one module over overlapping windows, with
+    two partners, report what fresh modules asked once report."""
+    # Over xy, M = rand(0) has depth 0 and complexity 1: Ext^{3,4}(M, k)
+    # is nonzero while Ext^{3,4}(M, A) vanishes, and Hom(M, A) = 0 while
+    # M (x) A = M does not, so a memo keyed without the partner or
+    # without the kind answers one of these calls wrongly.
+    calls = [("Tor", "k", (2, 5)), ("Ext", "k", (1, 4)), ("Ext", "A", (3, 6)),
+             ("Ext", "A", (0, 4)), ("Tor", "A", (0, 3)), ("Tor", "k", (0, 6)),
+             ("Ext", "k", (0, 6)), ("Tor", "A", (1, 6))]
+    for ring, seed in ((SQ, 3), (XY, 0)):
+        partners = {"k": residue_field_of(ring),
+                    "A": GradedModule.free(ring, [0], name="A")}
+        M = random_module(ring, seed)
+        for kind, name, rng in calls:
+            fn = tor if kind == "Tor" else ext
+            got = fn(M, partners[name], rng, dims=False)
+            want = fn(random_module(ring, seed), partners[name], rng,
+                      dims=False)
+            assert got.is_zero == want.is_zero, (ring.key(), kind, name, rng)
+            assert got.strip() == want.strip()

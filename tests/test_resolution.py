@@ -12,11 +12,14 @@ from homlab import (
     ZeroModuleError,
     ambient_restriction,
     betti_table,
+    complexity_estimate,
     depth,
+    ext,
     minimal_resolution,
     module_from_json,
     parse_ring,
     pd_ambient,
+    residue_field_of,
     syzygy,
 )
 from homlab.harness import random_module
@@ -175,6 +178,9 @@ def test_resolved_module_freed_by_reference_counting():
     M = random_module(SQ, 2)
     minimal_resolution(M, 4)
     depth(M)  # also builds the ambient resolution
+    complexity_estimate(M)  # memoizes the estimate on M
+    ext(M, residue_field_of(SQ), (0, 3), dims=False)  # memoizes verdicts
+    assert M._cx_estimate is not None and M._verdicts
     refs = [weakref.ref(M), weakref.ref(M._res),
             weakref.ref(M._ambient_res)]
     gc.disable()
