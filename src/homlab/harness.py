@@ -89,7 +89,7 @@ class ComplexityEstimate:
     value: int
     method: str          # finite-pd | periodicity | polynomial-fit
     window: tuple
-    confidence: str      # exact | fitted
+    confidence: str      # exact (finite-pd only) | fitted
     betti: list = field(default_factory=list)
 
     def to_json(self):
@@ -158,8 +158,9 @@ def _estimate_from_table(origin, bt, bound):
         degs.append(d)
     value = 1 + max(degs)
     method = "periodicity" if value == 1 else "polynomial-fit"
-    conf = "exact" if value <= 1 else "fitted"
-    return ComplexityEstimate(value, method, (lo, bound), conf, totals)
+    # a finite-difference window is a fit, not a certificate, for
+    # bounded Betti numbers as for growing ones
+    return ComplexityEstimate(value, method, (lo, bound), "fitted", totals)
 
 
 def complexity_estimate_retry(arg, bound):

@@ -87,6 +87,7 @@ class GradedModule:
         self.relations = tuple(rels)
         self.pieces = linalg.GradedPieces(ring, self.twists, self.relations)
         self.name = name
+        self._key = None  # memo of key()
         self._res = None
         self._ambient_res = None
         # (kind, N.key()) -> {index: exact zero verdict};
@@ -159,18 +160,31 @@ class GradedModule:
         return [self.hilbert_function(d) for d in range(lo, hi + 1)]
 
     def twisted(self, s, name=None):
-        """Same module with all generator degrees shifted up by s."""
-        return GradedModule(
+        """Same module with all generator degrees shifted up by s.
+
+        If this module is resolved, the twist's resolution starts as a
+        copy of it shifted by s; a uniform shift changes no Groebner
+        step, so the copy equals a from-scratch run.  The copied steps
+        are not rerun, so the S-pair degree cap held in this module's
+        degrees: a twist can succeed where a from-scratch run would hit
+        the cap.
+        """
+        T = GradedModule(
             self.ring,
             tuple(t + s for t in self.twists),
             tuple(self.relations),
             name=name or (f"{self.name}({-s})" if self.name else None),
             _minimal=True,
         )
+        if self._res is not None:
+            T._res = FreeResolution(T, source=self._res, shift=s)
+        return T
 
     def key(self):
-        rels = tuple(elem_sort_key(c) for c in self.relations)
-        return (self.ring.key(), self.twists, rels)
+        if self._key is None:
+            rels = tuple(elem_sort_key(c) for c in self.relations)
+            self._key = (self.ring.key(), self.twists, rels)
+        return self._key
 
     def describe(self):
         parts = [f"gens of degree {list(self.twists)}"]
@@ -229,15 +243,28 @@ class FreeResolution:
     twists[n] lists the generator degrees of F_n; diffs[n] holds the
     columns of d_{n+1}: F_{n+1} -> F_n.  Once some F_n is zero the
     resolution is complete and extends by zero steps for free.
+
+    With `source`, the resolution starts from the steps `start`,
+    `start + 1`, ... already computed in `source`, every twist shifted
+    up by `shift`; the module must then be presented on F_start of
+    `source` (shifted) by d_{start+1}.  The differential columns are
+    shared, not copied (no one mutates them), and `extend` goes on
+    from the last copied step.
     """
 
-    def __init__(self, module: GradedModule):
+    def __init__(self, module: GradedModule, source=None, start=0, shift=0):
         # The module's relations, not the module: the module owns its
         # resolution, and a back reference would make the pair a cycle.
+        # extend() reads them only when no step was copied.
         self.ring = module.ring
         self.relations = module.relations
-        self.twists = [tuple(module.twists)]
-        self.diffs = []
+        if source is None:
+            self.twists = [tuple(module.twists)]
+            self.diffs = []
+        else:
+            self.twists = [tuple(t + shift for t in tw)
+                           for tw in source.twists[start:]]
+            self.diffs = source.diffs[start:]
 
     @property
     def computed_to(self):
@@ -307,7 +334,14 @@ class FreeResolution:
 
 
 def minimal_resolution(module: GradedModule, bound: int) -> FreeResolution:
-    """Minimal free resolution of the module up to homological degree bound."""
+    """Minimal free resolution of the module up to homological degree bound.
+
+    The resolution is kept on the module and extended on demand.  A
+    module made by `twisted` or `syzygy` of a resolved module starts
+    from steps copied out of that resolution; they are never run
+    through Buchberger again, so the S-pair degree cap applies to them
+    in the source's degrees.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if module._res is None:
@@ -316,7 +350,13 @@ def minimal_resolution(module: GradedModule, bound: int) -> FreeResolution:
 
 
 def syzygy(module: GradedModule, n: int) -> GradedModule:
-    """The n-th syzygy module, presented by d_{n+1} on the twists of F_n."""
+    """The n-th syzygy module, presented by d_{n+1} on the twists of F_n.
+
+    The columns of a minimal resolution are already a minimal
+    presentation.  The syzygy's resolution starts as steps n, n+1, ...
+    of the module's, which are not rerun: the S-pair degree cap held
+    for them when the module was resolved.
+    """
     if n < 0:
         raise ValueError("syzygy index must be >= 0")
     if n == 0:
@@ -326,10 +366,10 @@ def syzygy(module: GradedModule, n: int) -> GradedModule:
     if not twists:
         return GradedModule.present(module.ring, (), (),
                                     name=f"syz{n}({module.name})")
-    return GradedModule.present(
-        module.ring, twists, res.differential(n + 1),
-        name=f"syz{n}({module.name or 'M'})",
-    )
+    S = GradedModule(module.ring, twists, res.differential(n + 1),
+                     name=f"syz{n}({module.name or 'M'})", _minimal=True)
+    S._res = FreeResolution(S, source=res, start=n)
+    return S
 
 
 # ---------------------------------------------------------------------------

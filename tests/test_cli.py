@@ -1,8 +1,11 @@
 """CLI: subcommands, module specs, JSON mode, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from homlab.cli import main, parse_module
 from homlab import parse_ring
@@ -114,6 +117,38 @@ def test_reduce_chain_cli(capsys):
     )
     assert code == 0
     assert "1 step" in out
+
+
+# sha256 of the --json stdout, recorded before twisted and syzygy modules
+# started from the resolution they are read off; any change to chain or
+# syzygy output shows here
+GOLDEN = [
+    pytest.param(
+        "reduce-chain", SQ, "random:3",
+        "a61678a7ba3687404d055ac5b70fe4e73883643ce603e5ba56c328a1ea04b686",
+        id="reduce-chain-sq"),
+    pytest.param(
+        "reduce-chain", XY, "random:3",
+        "a7f5535318db0de2c5619e25ca8f2ca2abf0d95c826371a63e37e849c4e2d76a",
+        id="reduce-chain-xy"),
+    pytest.param(
+        "resolve", SQ, "syzygy:2:random:5",
+        "96e963ad7b8ed43f76fc2356a8fc0e39b809fc4cb92079836fc231ee4e5465c7",
+        id="resolve-syzygy-sq"),
+    pytest.param(
+        "resolve", XY, "syzygy:2:random:5",
+        "2ace4a64601c89dff5016abfe6c4385950b01c18b2ef8b4d3e0657f3412f4634",
+        id="resolve-syzygy-xy"),
+]
+
+
+@pytest.mark.parametrize("cmd,ring,module,digest", GOLDEN)
+def test_json_output_golden(cmd, ring, module, digest, capsys):
+    extra = ["--bound", "8"] if cmd == "resolve" else []
+    code, out, _ = run(["--json", cmd, "--ring", ring, "--module", module]
+                       + extra, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_keta_cli(capsys):

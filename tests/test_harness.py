@@ -58,7 +58,7 @@ def test_cx_methods_and_confidence():
     free = complexity_estimate(GradedModule.free(XY, [0]))
     assert free.method == "finite-pd" and free.confidence == "exact"
     per = complexity_estimate(GradedModule.cyclic(XY, ["x"]))
-    assert per.method == "periodicity" and per.confidence == "exact"
+    assert per.method == "periodicity" and per.confidence == "fitted"
 
 
 def test_artinian_betti_fast_path_matches_resolution():

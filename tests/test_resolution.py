@@ -21,7 +21,9 @@ from homlab import (
     pd_ambient,
     residue_field_of,
     syzygy,
+    tor,
 )
+from homlab import resolution
 from homlab.harness import random_module
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
@@ -151,6 +153,77 @@ def test_twisted_shifts_hilbert():
     T = M.twisted(2)
     for d in range(6):
         assert T.hilbert_function(d) == M.hilbert_function(d - 2)
+
+
+def _steps(res, bound):
+    return ([res.twist_list(n) for n in range(bound + 1)],
+            [res.differential(n) for n in range(1, bound + 1)])
+
+
+def _forbid_groebner(monkeypatch):
+    def boom(*args, **kw):
+        raise AssertionError("copied step ran through Buchberger")
+
+    monkeypatch.setattr(resolution, "kernel_of_map", boom)
+    monkeypatch.setattr(resolution, "minimal_generators", boom)
+
+
+@pytest.mark.parametrize("ring", [SQ, XY], ids=["sq", "xy"])
+@pytest.mark.parametrize("s", [-1, 2])
+def test_twisted_resolution_is_copied_shift(ring, s, monkeypatch):
+    """A twist of a resolved module copies its resolution, shifted, and the
+    copy equals the resolution of the twisted presentation from scratch."""
+    for seed in range(4):
+        M = random_module(ring, seed)
+        minimal_resolution(M, 8)
+        T = M.twisted(s)
+        # the same presentation, as a module that owns no resolution yet
+        scratch = GradedModule(ring, T.twists, T.relations, _minimal=True)
+        fresh = minimal_resolution(scratch, 10)
+        with monkeypatch.context() as mp:
+            _forbid_groebner(mp)
+            copied = _steps(minimal_resolution(T, 8), 8)
+        assert copied == _steps(fresh, 8), (seed, s)
+        # past the copy, extend() goes on with the same Groebner steps
+        assert _steps(minimal_resolution(T, 10), 10) == _steps(fresh, 10)
+        # twisting a module never resolved resolves it from scratch
+        U = random_module(ring, seed).twisted(s)
+        assert U._res is None
+        assert _steps(minimal_resolution(U, 8), 8) == _steps(fresh, 8)
+
+
+@pytest.mark.parametrize("ring", [SQ, XY], ids=["sq", "xy"])
+def test_syzygy_resolution_is_copied_tail(ring, monkeypatch):
+    """Omega^n M is presented by d_{n+1} and resolved by the tail of M's
+    resolution; it has the same homology as its minimal presentation."""
+    k = residue_field_of(ring)
+    A = GradedModule.free(ring)
+    for seed, n in ((1, 1), (2, 2), (3, 2)):
+        M = random_module(ring, seed)
+        res = minimal_resolution(M, n + 4)
+        snapshot = ([list(t) for t in res.twists], list(res.diffs))
+        S = syzygy(M, n)
+        assert S.twists == res.twist_list(n)
+        assert S.relations == tuple(res.differential(n + 1))
+        with monkeypatch.context() as mp:
+            _forbid_groebner(mp)
+            head = minimal_resolution(S, 4)
+        assert _steps(head, 4) == (
+            [res.twist_list(n + j) for j in range(5)],
+            [res.differential(n + j) for j in range(1, 5)])
+        # past the copied prefix: M's twists, M's lists left alone
+        minimal_resolution(S, 8)
+        assert ([list(t) for t in res.twists], list(res.diffs)) == snapshot
+        assert [S._res.twist_list(j) for j in range(9)] == \
+            [minimal_resolution(M, n + 8).twist_list(n + j)
+             for j in range(9)]
+        P = GradedModule.present(ring, S.twists, S.relations)
+        assert betti_table(S, 8).entries == betti_table(P, 8).entries
+        for fn in (tor, ext):
+            for N in (k, A):
+                got, want = fn(S, N, (0, 5)), fn(P, N, (0, 5))
+                assert got.dims == want.dims, (seed, n, fn.__name__)
+                assert got.is_zero == want.is_zero, (seed, n, fn.__name__)
 
 
 def test_presentation_is_minimalized():
