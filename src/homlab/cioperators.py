@@ -62,15 +62,10 @@ def decompose_in_ideal(ring, poly):
     for j, f in enumerate(gens):
         dj = pdeg(f, ring.weights)
         for m in ring.monomials(e - dj):
-            vec = [0] * len(target_monos)
-            for fm, fc in f.items():
-                mm = tuple(a + b for a, b in zip(fm, m))
-                vec[index[mm]] = (vec[index[mm]] + fc) % ring.p
-            columns.append(vec)
+            columns.append({index[tuple(a + b for a, b in zip(fm, m))]: fc
+                            for fm, fc in f.items()})
             slots.append((j, m))
-    b = [0] * len(target_monos)
-    for m, c in poly.items():
-        b[index[m]] = c % ring.p
+    b = {index[m]: c for m, c in poly.items()}
     x = linalg.solve_mod(columns, b, ring.p)
     if x is None:
         raise DecompositionError(
@@ -572,14 +567,11 @@ def periodicity_isomorphism_check(M: GradedModule, window_start: int,
             rows = []
             for a in range(len(tw_n)):
                 col = eta_map.cols.get(i + 2, [None] * len(tw_n))[a]
-                row = [0] * len(tw_i)
                 if col is None:
                     level_ok = False
                     break
-                for (pos, m), c in col.items():
-                    if m == zero:
-                        row[pos] = c % ring.p
-                rows.append(row)
+                rows.append({pos: c for (pos, m), c in col.items()
+                             if m == zero})
             if level_ok:
                 level_ok = (
                     len(tw_i) == len(tw_n)

@@ -5,8 +5,9 @@ Hom(F_M, N).  Index i of either complex is a sum of shifted copies of N,
 one slot per generator of F_i: N(-t_a) for the tensor complex, N(t_a)
 for Hom.  Graded dimensions are read in the quotient coordinates of N's
 graded pieces (``GradedModule.pieces``): in internal degree d the map
-between two indices is a block matrix whose block for a pair of slots
-is the resolution entry acting by multiplication on a piece of N, and
+between two indices is assembled as sparse rows, the rows of a source
+slot holding, at the column offset of each target slot, the resolution
+entry acting by multiplication on a piece of N, and
 dim H = dim C - rank(out map) - rank(in map).  Zero verdicts are exact,
 by one of two routes: over artinian rings every graded piece lives
 inside a window bounded by the socle top degree, so vanishing of all
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-
-import numpy as np
 
 from . import linalg
 from .groebner import (
@@ -142,23 +141,23 @@ class _CoveredComplex:
 
     def _block_rank(self, src, tgt, d):
         pieces = self.N.pieces
-        p = self.ring.p
         s_src = self.shifts(src)
         rdims, cdims = self.slot_dims(src, d), self.slot_dims(tgt, d)
         if not sum(rdims) or not sum(cdims):
             return 0
         roff = list(accumulate(rdims, initial=0))
         coff = list(accumulate(cdims, initial=0))
-        A = np.zeros((roff[-1], coff[-1]), dtype=np.int64)
+        rows = [{} for _ in range(roff[-1])]
         for a, a_t, poly in self.entries(max(src, tgt)):
             if not rdims[a] or not cdims[a_t]:
                 continue
-            block = A[roff[a]:roff[a + 1], coff[a_t]:coff[a_t + 1]]
             e = d - s_src[a]
+            block, c0 = rows[roff[a]:roff[a + 1]], coff[a_t]
             for m, c in poly.items():
-                # c * entry <= (p-1)^2 < 2^62, so one sum cannot overflow
-                block[:] = (block + c * pieces.mult(m, e)) % p
-        return linalg.rank_mod(A, p)
+                for row, mrow in zip(block, pieces.mult(m, e)):
+                    for j, v in mrow.items():
+                        row[c0 + j] = row.get(c0 + j, 0) + c * v
+        return linalg.rank_mod(rows, self.ring.p)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +351,13 @@ def socle_dimension(ring):
         for d in range(top + 1):
             nb = pieces.dim(d)
             if nb:
-                mults = np.hstack([pieces.mult(x, d) for x in variables])
-                total += nb - linalg.rank_mod(mults, ring.p)
+                # the variables' maps side by side: column (v, j) is
+                # coordinate j of the product with variable v
+                rows = [{} for _ in range(nb)]
+                for v, x in enumerate(variables):
+                    for row, mrow in zip(rows, pieces.mult(x, d)):
+                        row.update(((v, j), c) for j, c in mrow.items())
+                total += nb - linalg.rank_mod(rows, ring.p)
         ring._socle_dim = total
     return ring._socle_dim
 

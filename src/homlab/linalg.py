@@ -6,13 +6,16 @@ is read in quotient coordinates: in each degree e the relation rows are
 row-reduced once, the non-pivot columns of the cover basis form a basis
 of N_e, and a cover vector is projected onto that basis by eliminating
 its pivot coordinates.  Multiplication by a monomial is then a small
-matrix N_e -> N_{e + deg m}, and maps of complexes built from N are
-block matrices of these, with no relation rows.  Everything here is a
-dimension or rank count; the Groebner layer owns exact zero-certificates.
+sparse matrix N_e -> N_{e + deg m}, and maps of complexes built from N
+are block matrices of these, with no relation rows.  Everything here is
+a dimension or rank count; the Groebner layer owns exact zero-certificates.
 
-Matrices are int64 with entries in [0, p).  PrimeField keeps p below
-2^31, so one product stays below 2^62; sums of products are reduced mod
-p before they could pass 2^63.
+Elimination is sparse: a row is a ``{column: value}`` dict of Python
+ints, and one reducer touches only nonzero entries, so it serves rank,
+reduced row echelon form and solving with no overflow bound.  Only
+``matmul_mod`` works on dense int64 matrices with entries in [0, p);
+PrimeField keeps p below 2^31, so one product stays below 2^62, and its
+sums of products are reduced mod p before they could pass 2^63.
 """
 
 from __future__ import annotations
@@ -41,69 +44,81 @@ def matmul_mod(A, B, p):
     return out
 
 
-def _echelon(rows, p, reduced):
-    """Row echelon form over F_p; returns (pivot rows, pivot columns).
+def _entries(row):
+    """(column, value) pairs of a dict row or a dense sequence."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
-    With reduced=True every pivot column is cleared above its pivot as
-    well (reduced row echelon form).  Rows at and below the current
-    pivot vanish left of its column, so updates touch columns c: only.
-    """
-    A = np.array(rows, dtype=np.int64, order="C")
-    if A.ndim != 2 or A.size == 0:
-        return A.reshape(0, A.shape[-1] if A.ndim == 2 else 0), []
-    A %= p
-    nrows, ncols = A.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        if reduced:
-            idx = np.flatnonzero(A[:, c])
-            idx = idx[idx != r]
+
+def _eliminate(row, f, prow, p):
+    """row -= f * prow in place; f and the entries of prow are nonzero."""
+    for j, v in prow.items():
+        w = (row.get(j, 0) - f * v) % p
+        if w:
+            row[j] = w
         else:
-            idx = r + nz[1:]
-        if idx.size:
-            A[idx, c:] = (A[idx, c:] - np.outer(A[idx, c], A[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+            del row[j]
+
+
+def _reduce(rows, p, reduced):
+    """Sparse Gaussian elimination over F_p.
+
+    ``rows`` are ``{column: value}`` dicts or dense sequences, with any
+    integer entries.  Returns ``{pivot column: row}``: each row has a 1
+    at its pivot and no entry left of it, so the number of pivots is the
+    rank.  With reduced=True every pivot column is also cleared from the
+    other pivot rows (reduced row echelon form).
+    """
+    pivots = {}
+    for row in rows:
+        row = {j: w for j, v in _entries(row) if (w := int(v) % p)}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            _eliminate(row, row[c], prow, p)
+    if reduced:
+        # from the right: rows of later pivots are already cleared, so
+        # clearing one pivot column puts nothing into another
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for j in [j for j in row if j != c and j in pivots]:
+                _eliminate(row, row[j], pivots[j], p)
+    return pivots
 
 
 def rank_mod(rows, p):
-    """Rank of a matrix (list of rows or ndarray) over F_p."""
-    A = np.asarray(rows, dtype=np.int64)
-    if A.ndim == 2 and A.shape[1] > A.shape[0]:
-        A = A.T
-    return len(_echelon(A, p, reduced=False)[1])
+    """Rank over F_p of a matrix given by dict or dense rows."""
+    return len(_reduce(rows, p, reduced=False))
 
 
 def rref_mod(rows, p):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    return _echelon(rows, p, reduced=True)
+    """Reduced row echelon form: (list of dict rows, pivot column list)."""
+    pivots = _reduce(rows, p, reduced=True)
+    cols = sorted(pivots)
+    return [pivots[c] for c in cols], cols
 
 
 def solve_mod(columns, b, p):
-    """Solve A x = b over F_p, with A given by columns; None if insolvable."""
+    """Solve A x = b over F_p, with A given by (dict or dense) columns.
+
+    Returns x as a list of ints, or None if the system has no solution.
+    """
     ncols = len(columns)
-    if ncols == 0:
-        return [] if not any(int(v) % p for v in b) else None
-    A = np.array(columns, dtype=np.int64).T % p
-    bb = np.array(b, dtype=np.int64).reshape(-1, 1) % p
-    aug = np.hstack([A, bb])
-    R, pivots = rref_mod(aug, p)
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in _entries(col):
+            rows.setdefault(i, {})[j] = v
+    for i, v in _entries(b):
+        rows.setdefault(i, {})[ncols] = v
+    pivots = _reduce(rows.values(), p, reduced=True)
     if ncols in pivots:
         return None
     x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = int(R[r, ncols])
+    for c, row in pivots.items():
+        x[c] = row.get(ncols, 0)
     return x
 
 
@@ -177,7 +192,7 @@ class GradedPieces:
     N_e (the non-pivot columns of the row-reduced relation rows) and the
     projection matrix taking cover coordinates to that basis.  Per
     (monomial, degree) it keeps the matrix of multiplication by the
-    monomial.  Both caches hold only the degrees asked for.
+    monomial as sparse rows.  Both caches hold only the degrees asked for.
     """
 
     def __init__(self, ring, twists, rels):
@@ -186,7 +201,7 @@ class GradedPieces:
         self.rels = tuple(rels)
         self._rel_degs = [edeg(r, self.twists, ring.weights) for r in rels]
         self._pieces = {}   # e -> (basis indices in the cover, projection)
-        self._mult = {}     # (mono, e) -> matrix of N_e -> N_{e + deg mono}
+        self._mult = {}     # (mono, e) -> sparse rows of N_e -> N_{e + deg}
 
     def _piece(self, e):
         piece = self._pieces.get(e)
@@ -194,13 +209,16 @@ class GradedPieces:
             p = self.ring.p
             basis, _, rows = relation_rows(self.ring, self.twists, self.rels,
                                            e, self._rel_degs)
-            R, pivots = rref_mod(rows, p) if rows else (None, [])
+            R, pivots = rref_mod(rows, p)
             pivot_set = set(pivots)
             free = [j for j in range(len(basis)) if j not in pivot_set]
             proj = np.zeros((len(basis), len(free)), dtype=np.int64)
             proj[free, range(len(free))] = 1
-            if pivots:
-                proj[pivots] = (-R[:, free]) % p
+            col = {j: k for k, j in enumerate(free)}
+            for c, row in zip(pivots, R):
+                for j, v in row.items():
+                    if j != c:
+                        proj[c, col[j]] = p - v
             piece = self._pieces[e] = (free, proj)
         return piece
 
@@ -209,21 +227,24 @@ class GradedPieces:
         return len(self._piece(e)[0])
 
     def mult(self, mono, e):
-        """Matrix (rows = basis of N_e) of multiplication by a monomial."""
+        """Sparse rows (one per basis vector of N_e, as {column: value}
+        over the basis of N_{e + deg mono}) of multiplication by a monomial.
+        """
         key = (mono, e)
-        mat = self._mult.get(key)
-        if mat is None:
+        rows = self._mult.get(key)
+        if rows is None:
             f = wdeg(mono, self.ring.weights)
             free = self._piece(e)[0]
-            if not free or not self.dim(e + f):
-                mat = np.zeros((len(free), self.dim(e + f)), dtype=np.int64)
-            else:
+            rows = [{} for _ in free]
+            if free and self.dim(e + f):
                 shifted = tuple(t + f for t in self.twists)
                 cols = [{(b, mono): 1} for b in range(len(self.twists))]
-                _, _, rows = map_rows(self.ring, shifted, cols, self.twists,
-                                      e + f)
+                _, _, images = map_rows(self.ring, shifted, cols,
+                                        self.twists, e + f)
                 # project the images onto the basis of N_{e+f}
-                mat = matmul_mod(np.array(rows)[free], self._piece(e + f)[1],
-                                 self.ring.p)
-            self._mult[key] = mat
-        return mat
+                mat = matmul_mod(np.array(images)[free],
+                                 self._piece(e + f)[1], self.ring.p)
+                for row, dense in zip(rows, mat.tolist()):
+                    row.update((j, v) for j, v in enumerate(dense) if v)
+            self._mult[key] = rows
+        return rows

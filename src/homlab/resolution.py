@@ -146,18 +146,11 @@ class GradedModule:
     # -- basics ------------------------------------------------------------
 
     @property
-    def rank_of_cover(self):
-        return len(self.twists)
-
-    @property
     def is_zero(self):
         return not self.twists
 
     def hilbert_function(self, d):
         return self.pieces.dim(d)
-
-    def hilbert_vector(self, lo, hi):
-        return [self.hilbert_function(d) for d in range(lo, hi + 1)]
 
     def twisted(self, s, name=None):
         """Same module with all generator degrees shifted up by s.
@@ -328,10 +321,6 @@ class FreeResolution:
         top = bound if bound is not None else self.computed_to
         return [list(self.twist_list(n)) for n in range(top + 1)]
 
-    def is_eventually_zero(self, bound=None):
-        top = bound if bound is not None else self.computed_to
-        return any(not self.twist_list(n) for n in range(top + 1))
-
 
 def minimal_resolution(module: GradedModule, bound: int) -> FreeResolution:
     """Minimal free resolution of the module up to homological degree bound.
@@ -474,7 +463,14 @@ def pd_ambient(module: GradedModule) -> int:
 
 
 def depth(module: GradedModule) -> int:
-    """Depth via the Auslander-Buchsbaum formula over the ambient ring."""
+    """Depth via the Auslander-Buchsbaum formula over the ambient ring.
+
+    Over an artinian ring it is 0 without the ambient resolution: the
+    maximal ideal is nilpotent, so it has no nonzerodivisor on a nonzero
+    module.
+    """
     if module.is_zero:
         raise ZeroModuleError("depth of the zero module is undefined")
+    if module.ring.krull_dim == 0:
+        return 0
     return module.ring.nvars - pd_ambient(module)

@@ -127,16 +127,6 @@ def padd(a, b, p):
             out.pop(m, None)
     return out
 
-def psub(a, b, p):
-    out = dict(a)
-    for m, c in b.items():
-        v = (out.get(m, 0) - c) % p
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
 
 def pscale(a, c, p):
     c %= p
@@ -179,14 +169,6 @@ def pdeg(a, weights):
         elif d != deg:
             raise InhomogeneousError(f"mixed degrees {deg} and {d}")
     return deg
-
-
-def is_homogeneous(a, weights):
-    try:
-        pdeg(a, weights)
-    except InhomogeneousError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

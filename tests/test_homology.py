@@ -108,6 +108,43 @@ def test_homology_dims_match_oracle(kind):
                 assert rep.dims.get(i, {}) == want, (kind, ring.key(), seed, i)
 
 
+def _dense_block_rank(cx, src, tgt, d):
+    """Oracle rank of the map src -> tgt in degree d, built as one dense
+    block matrix from the multiplication maps of N's pieces."""
+    rdims, cdims = cx.slot_dims(src, d), cx.slot_dims(tgt, d)
+    roff = [sum(rdims[:a]) for a in range(len(rdims))]
+    coff = [sum(cdims[:a]) for a in range(len(cdims))]
+    A = [[0] * sum(cdims) for _ in range(sum(rdims))]
+    for a, a_t, poly in cx.entries(max(src, tgt)):
+        e = d - cx.shifts(src)[a]
+        for m, c in poly.items():
+            for r, mrow in enumerate(cx.N.pieces.mult(m, e)):
+                assert r < rdims[a] and all(j < cdims[a_t] for j in mrow)
+                for j, v in mrow.items():
+                    A[roff[a] + r][coff[a_t] + j] += c * v
+    return oracle.rank_mod(A, cx.ring.p)
+
+
+@pytest.mark.parametrize("kind", ["Tor", "Ext"])
+def test_block_rank_matches_dense_oracle(kind):
+    """The sparse-row assembly and rank of every map equal the oracle
+    rank of the dense block matrix, over the corpus rings."""
+    for spec in DEFAULT_CORPUS_RINGS:
+        ring = parse_ring(spec)
+        for seed in (4, 5):
+            M = random_module(ring, seed)
+            N = random_module(ring, seed + 20)
+            if M.is_zero or N.is_zero:
+                continue
+            cx = _CoveredComplex(M, N, 3, kind)
+            for j in range(1, 4):
+                src, tgt = (j, j - 1) if kind == "Tor" else (j - 1, j)
+                lo = min(cx.cover(src) + cx.cover(tgt), default=0)
+                for d in range(lo - 1, lo + 6):
+                    assert cx._block_rank(src, tgt, d) == _dense_block_rank(
+                        cx, src, tgt, d), (spec, seed, j, d)
+
+
 def test_tor_zero_iff_dims_zero_artinian():
     """Over artinian rings is_zero agrees with the graded dimensions."""
     for seed in range(4):

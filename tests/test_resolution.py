@@ -131,6 +131,13 @@ def test_depth_and_pd_ambient():
     amb = ambient_restriction(GradedModule.residue_field(Z3))
     assert pd_ambient(GradedModule.residue_field(Z3)) == 3
     assert amb.ring.is_ambient
+    # artinian: depth 0 without the ambient resolution, as Auslander-
+    # Buchsbaum over the ambient ring confirms
+    for seed in range(6):
+        M = random_module(SQ, seed)
+        if not M.is_zero:
+            assert depth(M) == 0 and M._ambient_res is None
+            assert SQ.nvars - pd_ambient(M) == 0
 
 
 def test_depth_of_zero_module_rejected():
@@ -250,7 +257,7 @@ def test_resolved_module_freed_by_reference_counting():
     the last reference frees them without the cyclic collector."""
     M = random_module(SQ, 2)
     minimal_resolution(M, 4)
-    depth(M)  # also builds the ambient resolution
+    pd_ambient(M)  # builds the ambient resolution
     complexity_estimate(M)  # memoizes the estimate on M
     ext(M, residue_field_of(SQ), (0, 3), dims=False)  # memoizes verdicts
     assert M._cx_estimate is not None and M._verdicts
