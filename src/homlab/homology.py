@@ -401,7 +401,14 @@ class FiniteLengthResult:
 
 
 def finite_length_test(N: GradedModule) -> FiniteLengthResult:
-    """Exact finite-length verdict via pure powers in the lead-term module."""
+    """Exact finite-length verdict via pure powers in the lead-term module,
+    memoized on N."""
+    if N._finite_length is None:
+        N._finite_length = _finite_length(N)
+    return N._finite_length
+
+
+def _finite_length(N):
     ring = N.ring
     if N.is_zero:
         return FiniteLengthResult(True, 0, None)

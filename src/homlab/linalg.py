@@ -7,8 +7,9 @@ row-reduced once, the non-pivot columns of the cover basis form a basis
 of N_e, and a cover vector is projected onto that basis by eliminating
 its pivot coordinates.  Multiplication by a monomial is then a small
 sparse matrix N_e -> N_{e + deg m}, and maps of complexes built from N
-are block matrices of these, with no relation rows.  Everything here is
-a dimension or rank count; the Groebner layer owns exact zero-certificates.
+are block matrices of these, with no relation rows.  Over an artinian
+ring, ``minimal_kernel`` computes a step of a minimal free resolution
+the same way, one elimination per degree of a finite window.
 
 Elimination is sparse: a row is a ``{column: value}`` dict of Python
 ints, and one reducer touches only nonzero entries, so it serves rank,
@@ -22,8 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ResourceCapError
 from .groebner import edeg, emul_term, reduce_elem_mod_ideal
 from .ring import wdeg
+
+# cells (rows x columns) of the largest [image | identity] matrix one
+# degree of minimal_kernel may eliminate
+CELL_CAP = 4 * 10**6
 
 _INT64_MAX = 2**63 - 1
 
@@ -59,6 +65,24 @@ def _eliminate(row, f, prow, p):
             del row[j]
 
 
+def _insert(pivots, row, p):
+    """Reduce a row (nonzero entries in [0, p)) against the pivot rows.
+
+    A nonzero remainder is stored, scaled to 1 at its pivot, as a new
+    pivot row; returns its pivot column, or None when the row reduces
+    to zero.  ``row`` is consumed.
+    """
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            inv = pow(row[c], p - 2, p)
+            pivots[c] = {j: v * inv % p for j, v in row.items()}
+            return c
+        _eliminate(row, row[c], prow, p)
+    return None
+
+
 def _reduce(rows, p, reduced):
     """Sparse Gaussian elimination over F_p.
 
@@ -70,15 +94,8 @@ def _reduce(rows, p, reduced):
     """
     pivots = {}
     for row in rows:
-        row = {j: w for j, v in _entries(row) if (w := int(v) % p)}
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {j: v * inv % p for j, v in row.items()}
-                break
-            _eliminate(row, row[c], prow, p)
+        _insert(pivots, {j: w for j, v in _entries(row) if (w := int(v) % p)},
+                p)
     if reduced:
         # from the right: rows of later pivots are already cleared, so
         # clearing one pivot column puts nothing into another
@@ -135,19 +152,19 @@ def free_basis(ring, twists, d):
     return out
 
 
-def elem_to_vec(el, index, length, p):
-    """Coordinate vector of an element already reduced modulo the ideal."""
-    v = np.zeros(length, dtype=np.int64)
+def _elem_row(el, index):
+    """Sparse row of an element already reduced modulo the ideal."""
+    row = {}
     for t, c in el.items():
         j = index.get(t)
         if j is None:
             raise KeyError(f"term {t} outside the graded piece basis")
-        v[j] = c % p
-    return v
+        row[j] = c
+    return row
 
 
 def relation_rows(ring, twists, rels, d, rel_degs=None):
-    """Row vectors spanning the degree-d piece of the relation submodule.
+    """Sparse rows spanning the degree-d piece of the relation submodule.
 
     One row per (relation, standard monomial of complementary degree);
     products are reduced modulo the quotient ideal first.
@@ -162,16 +179,15 @@ def relation_rows(ring, twists, rels, d, rel_degs=None):
             continue
         for m in ring.standard_monomials(d - rd):
             prod = emul_term(r, m, 1, ring.p)
-            prod = reduce_elem_mod_ideal(prod, ring)
-            rows.append(elem_to_vec(prod, index, len(basis), ring.p))
+            rows.append(_elem_row(reduce_elem_mod_ideal(prod, ring), index))
     return basis, index, rows
 
 
 def map_rows(ring, src_twists, cols, tgt_twists, d):
     """Images of the degree-d source basis under the column map, as rows.
 
-    Returns (src_basis, tgt_basis, rows); rows[j] is the coordinate vector
-    of the image of src_basis[j] in the target graded piece.
+    Returns (src_basis, tgt_basis, rows); rows[j] is the sparse coordinate
+    row of the image of src_basis[j] in the target graded piece.
     """
     src_basis = free_basis(ring, src_twists, d)
     tgt_basis = free_basis(ring, tgt_twists, d)
@@ -179,9 +195,68 @@ def map_rows(ring, src_twists, cols, tgt_twists, d):
     rows = []
     for (pos, m) in src_basis:
         img = emul_term(cols[pos], m, 1, ring.p)
-        img = reduce_elem_mod_ideal(img, ring)
-        rows.append(elem_to_vec(img, index, len(tgt_basis), ring.p))
+        rows.append(_elem_row(reduce_elem_mod_ideal(img, ring), index))
     return src_basis, tgt_basis, rows
+
+
+def minimal_kernel(cols, ring, src_twists, tgt_twists):
+    """Minimal generators of the kernel of a map of free modules over an
+    artinian quotient ring, by linear algebra on graded pieces.
+
+    Column j is the image of source generator j, of degree src_twists[j].
+    The kernel lives where the source does, in degrees min twist ..
+    max twist + top degree.  Per degree e, ascending: U_e, the part of
+    ker_e generated from below, is spanned by x_v * ker_{e - deg x_v}
+    over the variables x_v and kept in echelon form.  Reducing by U_e
+    clears its pivot coordinates, so ker_e is U_e plus the kernel of the
+    piece map on the other source coordinates; that kernel, read off
+    the rows of [image | identity] whose image part eliminates to zero,
+    is the set of new generators of degree e, each scaled to 1 at its
+    pivot.  Returns them as module elements in ascending degree.  Raises
+    ResourceCapError when one degree's [image | identity] matrix has
+    more than CELL_CAP cells.
+    """
+    p = ring.p
+    src_twists = tuple(src_twists)
+    units = [tuple(int(i == v) for i in range(ring.nvars))
+             for v in range(ring.nvars)]
+    kernels = {}   # e -> basis of ker_e, as rows over free_basis(e)
+    gens = []
+    for e in range(min(src_twists), max(src_twists) + ring.top_degree() + 1):
+        basis, tgt_basis, images = map_rows(ring, src_twists, cols,
+                                            tgt_twists, e)
+        nt, ns = len(tgt_basis), len(basis)
+        if ns * (nt + ns) > CELL_CAP:
+            raise ResourceCapError(
+                f"cell cap {CELL_CAP} exceeded by a {ns} x {nt + ns} "
+                f"matrix in degree {e}", "cell_cap", CELL_CAP)
+        below = {}
+        for w, unit in zip(ring.weights, units):
+            lower = kernels.get(e - w)
+            if not lower:
+                continue
+            # multiplication by x_v, (F_src)_{e-w} -> (F_src)_e
+            _, _, times = map_rows(ring, tuple(t + w for t in src_twists),
+                                   [{(b, unit): 1} for b in
+                                    range(len(src_twists))], src_twists, e)
+            for k in lower:
+                row = {}
+                for j, c in k.items():
+                    for jj, a in times[j].items():
+                        row[jj] = row.get(jj, 0) + c * a
+                _insert(below, {j: r for j, a in row.items()
+                                if (r := a % p)}, p)
+        rows = []
+        for j, row in enumerate(images):
+            if j not in below:
+                row[nt + j] = 1
+                rows.append(row)
+        pivots = _reduce(rows, p, reduced=False)
+        new = [{j - nt: v for j, v in pivots[c].items()}
+               for c in sorted(pivots) if c >= nt]
+        kernels[e] = list(below.values()) + new
+        gens.extend({basis[j]: v for j, v in k.items()} for k in new)
+    return gens
 
 
 class GradedPieces:
@@ -242,8 +317,12 @@ class GradedPieces:
                 _, _, images = map_rows(self.ring, shifted, cols,
                                         self.twists, e + f)
                 # project the images onto the basis of N_{e+f}
-                mat = matmul_mod(np.array(images)[free],
-                                 self._piece(e + f)[1], self.ring.p)
+                proj = self._piece(e + f)[1]
+                block = np.zeros((len(free), proj.shape[0]), dtype=np.int64)
+                for i, j in enumerate(free):
+                    for c, v in images[j].items():
+                        block[i, c] = v
+                mat = matmul_mod(block, proj, self.ring.p)
                 for row, dense in zip(rows, mat.tolist()):
                     row.update((j, v) for j, v in enumerate(dense) if v)
             self._mult[key] = rows

@@ -3,8 +3,13 @@
 A GradedModule is a finite graded presentation over a QuotientRing:
 generator twists plus homogeneous relation columns.  Presentations are
 minimalized on construction (scalar entries spliced away, redundant
-relations dropped), so the resolution built by iterated syzygy
-computation is minimal step by step.
+relations dropped), and each resolution step takes minimal generators
+of the kernel of the last differential, so the resolution is minimal
+step by step.  Over an artinian ring a step is graded linear algebra
+(``linalg.minimal_kernel``, capped by ``linalg.CELL_CAP``); over
+positive-dimensional and ambient rings it is Buchberger's syzygies
+followed by ``minimal_generators``, and only this route is bound by the
+S-pair degree and pair caps.
 """
 
 from __future__ import annotations
@@ -95,6 +100,8 @@ class GradedModule:
         self._verdicts = {}
         # (bound, ComplexityEstimate); read by harness.complexity_estimate
         self._cx_estimate = None
+        # FiniteLengthResult; read by homology.finite_length_test
+        self._finite_length = None
         if not _minimal:
             raise ValueError("use GradedModule.present() to construct")
 
@@ -156,11 +163,11 @@ class GradedModule:
         """Same module with all generator degrees shifted up by s.
 
         If this module is resolved, the twist's resolution starts as a
-        copy of it shifted by s; a uniform shift changes no Groebner
-        step, so the copy equals a from-scratch run.  The copied steps
-        are not rerun, so the S-pair degree cap held in this module's
-        degrees: a twist can succeed where a from-scratch run would hit
-        the cap.
+        copy of it shifted by s; a uniform shift changes no step of
+        either route, so the copy equals a from-scratch run.  The copied
+        steps are not rerun, so on the Buchberger route the S-pair
+        degree cap held in this module's degrees: a twist can succeed
+        where a from-scratch run would hit the cap.
         """
         T = GradedModule(
             self.ring,
@@ -235,7 +242,12 @@ class FreeResolution:
 
     twists[n] lists the generator degrees of F_n; diffs[n] holds the
     columns of d_{n+1}: F_{n+1} -> F_n.  Once some F_n is zero the
-    resolution is complete and extends by zero steps for free.
+    resolution is complete and extends by zero steps for free.  Step 0
+    is `minimal_generators` of the module's relations; every later step
+    is `linalg.minimal_kernel` over an artinian ring (ring.top_degree()
+    is not None) and `kernel_of_map` plus `minimal_generators`
+    otherwise.  Either way the new columns are sorted by (degree,
+    elem_sort_key).
 
     With `source`, the resolution starts from the steps `start`,
     `start + 1`, ... already computed in `source`, every twist shifted
@@ -301,14 +313,20 @@ class FreeResolution:
             n = self.computed_to
             src_twists = self.twists[n]
             if n == 0:
-                kern = list(self.relations)
+                mins = minimal_generators(list(self.relations), self.ring,
+                                          len(src_twists), src_twists)
+            elif self.ring.top_degree() is not None:
+                mins = linalg.minimal_kernel(
+                    self.diffs[n - 1], self.ring,
+                    src_twists, self.twists[n - 1],
+                )
             else:
                 kern = kernel_of_map(
                     self.diffs[n - 1], self.ring,
                     src_twists, self.twists[n - 1],
                 )
-            mins = minimal_generators(kern, self.ring, len(src_twists),
-                                      src_twists)
+                mins = minimal_generators(kern, self.ring, len(src_twists),
+                                          src_twists)
             mins.sort(key=lambda c: (edeg(c, src_twists, self.ring.weights),
                                      elem_sort_key(c)))
             self.twists.append(tuple(
@@ -325,11 +343,13 @@ class FreeResolution:
 def minimal_resolution(module: GradedModule, bound: int) -> FreeResolution:
     """Minimal free resolution of the module up to homological degree bound.
 
-    The resolution is kept on the module and extended on demand.  A
-    module made by `twisted` or `syzygy` of a resolved module starts
-    from steps copied out of that resolution; they are never run
-    through Buchberger again, so the S-pair degree cap applies to them
-    in the source's degrees.
+    The resolution is kept on the module and extended on demand.  Over
+    an artinian ring the steps past the first are graded linear algebra,
+    otherwise Buchberger; the S-pair degree and pair caps bind only the
+    Buchberger steps.  A module made by `twisted` or `syzygy` of a
+    resolved module starts from steps copied out of that resolution;
+    they are never computed again, so the S-pair degree cap applies to
+    them in the source's degrees.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -343,8 +363,8 @@ def syzygy(module: GradedModule, n: int) -> GradedModule:
 
     The columns of a minimal resolution are already a minimal
     presentation.  The syzygy's resolution starts as steps n, n+1, ...
-    of the module's, which are not rerun: the S-pair degree cap held
-    for them when the module was resolved.
+    of the module's, which are not rerun: on the Buchberger route the
+    S-pair degree cap held for them when the module was resolved.
     """
     if n < 0:
         raise ValueError("syzygy index must be >= 0")

@@ -12,6 +12,7 @@ import time
 
 import oracle
 from homlab import (
+    DEFAULT_CORPUS_RINGS,
     EvenGapError,
     GradedModule,
     betti_table,
@@ -149,11 +150,18 @@ def test_criterion_ext_jump():
 
 def test_criterion_theorem_sweep():
     with _Criterion("theorem-self-test-sweep", 900.0):
-        summary = corpus_sweep(count=100, seed=0)
-        assert summary.counterexamples == []
-        assert summary.cx_violations == []
-        assert summary.tor_symmetry_failures == []
-        assert summary.modules + summary.skipped == 400
+        swept = 0
+        for spec in DEFAULT_CORPUS_RINGS:
+            t0 = time.time()
+            summary = corpus_sweep(rings=[spec], count=100, seed=0)
+            print(f"\n  {spec}: {time.time() - t0:.2f}s, checks/hypotheses "
+                  f"met {summary.checks_run}/{summary.hypotheses_met}",
+                  file=sys.stderr, flush=True)
+            assert summary.counterexamples == []
+            assert summary.cx_violations == []
+            assert summary.tor_symmetry_failures == []
+            swept += summary.modules + summary.skipped
+        assert swept == 400
 
 
 def test_criterion_l34_length_identity():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from homlab.cli import main, parse_module
-from homlab import parse_ring
+from homlab import linalg, parse_ring
 
 XY = "p=32003; vars x,y; ci: x*y"
 SQ = "p=32003; vars x,y; ci: x^2, y^2"
@@ -100,6 +100,16 @@ def test_resource_cap_exit_two(capsys):
     )
     assert code == 2
     assert "resource" in err or "window" in err.lower() or err
+
+
+def test_cell_cap_exit_two(capsys, monkeypatch):
+    # a linear-algebra resolution step over the cell cap is a resource cap
+    monkeypatch.setattr(linalg, "CELL_CAP", 4)
+    code, _, err = run(
+        ["resolve", "--ring", SQ, "--module", "k", "--bound", "3"], capsys
+    )
+    assert code == 2
+    assert "cell cap" in err
 
 
 def test_cx_json(capsys):

@@ -17,6 +17,7 @@ from homlab.harness import (
     random_module,
     residue_field_of,
 )
+from homlab import homology
 from homlab.homology import _CoveredComplex
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
@@ -198,6 +199,20 @@ def test_finite_length():
     A = GradedModule.free(SQ, [0])
     r = finite_length_test(A)
     assert r.finite and r.length == 4 and r.top_degree == 2
+
+
+@pytest.mark.parametrize("ring", [XY, SQ], ids=["xy", "sq"])
+def test_finite_length_memoized_on_module(ring, monkeypatch):
+    """A second finite-length test of the same module runs no Groebner basis."""
+    for N in (residue_field_of(ring), GradedModule.free(ring, [0]),
+              GradedModule.cyclic(ring, ["x"])):
+        first = finite_length_test(N)
+        with monkeypatch.context() as mp:
+            def boom(*args, **kw):
+                raise AssertionError("finite-length test recomputed")
+
+            mp.setattr(homology, "groebner", boom)
+            assert finite_length_test(N) is first
 
 
 def test_socle_dimension():

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ import oracle
 from homlab import (
     BettiTable,
     GradedModule,
+    ResourceCapError,
     ZeroModuleError,
     ambient_restriction,
     betti_table,
@@ -23,12 +25,16 @@ from homlab import (
     syzygy,
     tor,
 )
-from homlab import resolution
+from homlab import linalg, resolution
+from homlab.groebner import edeg, kernel_of_map, minimal_generators
 from homlab.harness import random_module
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
 SQ = parse_ring("p=32003; vars x,y; ci: x^2, y^2")
 Z3 = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2, z^2")
+# artinian, but no monomial ideal: products leave the standard monomials
+NM = parse_ring("p=32003; vars x,y,z; ci: x^2-y*z, y^2-x*z, z^2")
+WT = parse_ring("p=32003; vars x:1,y:2; ci: x^4, y^2")
 
 
 def _compose(cols2, cols1, p):
@@ -43,8 +49,8 @@ def _compose(cols2, cols1, p):
     return out
 
 
-@pytest.mark.parametrize("ring,seed", [(XY, 1), (SQ, 2), (Z3, 3)],
-                         ids=["xy", "sq", "z3"])
+@pytest.mark.parametrize("ring,seed", [(XY, 1), (SQ, 2), (Z3, 3), (NM, 4)],
+                         ids=["xy", "sq", "z3", "nm"])
 def test_d_compose_d_is_zero_mod_ideal(ring, seed):
     M = random_module(ring, seed)
     res = minimal_resolution(M, 6)
@@ -59,8 +65,8 @@ def test_d_compose_d_is_zero_mod_ideal(ring, seed):
             )
 
 
-@pytest.mark.parametrize("ring,seed", [(XY, 1), (SQ, 2), (Z3, 3)],
-                         ids=["xy", "sq", "z3"])
+@pytest.mark.parametrize("ring,seed", [(XY, 1), (SQ, 2), (Z3, 3), (NM, 4)],
+                         ids=["xy", "sq", "z3", "nm"])
 def test_resolution_exact_and_minimal_by_oracle(ring, seed):
     M = random_module(ring, seed)
     res = minimal_resolution(M, 5)
@@ -68,6 +74,36 @@ def test_resolution_exact_and_minimal_by_oracle(ring, seed):
     dmax = max(tw_all) + (ring.top_degree() or 4)
     exact, minimal = oracle.resolution_exact_and_minimal(ring, res, 5, dmax)
     assert exact and minimal
+
+
+@pytest.mark.parametrize("ring,top", [(SQ, 8), (WT, 8), (Z3, 6), (NM, 6)],
+                         ids=["sq", "weighted", "z3", "nm"])
+def test_linear_algebra_steps_match_buchberger(ring, top):
+    """Over an artinian ring every step past the first is linear algebra;
+    Buchberger's kernel of the same differential has the same minimal
+    generator degrees."""
+    for seed in range(25):
+        M = random_module(ring, seed)
+        res = minimal_resolution(M, top)
+        for n in range(1, top):
+            src = res.twist_list(n)
+            if not src:
+                break
+            kern = kernel_of_map(res.differential(n), ring, src,
+                                 res.twist_list(n - 1))
+            mins = minimal_generators(kern, ring, len(src), src)
+            assert Counter(edeg(c, src, ring.weights) for c in mins) == \
+                Counter(res.twist_list(n + 1)), (seed, n)
+
+
+def test_linear_algebra_step_cell_cap(monkeypatch):
+    """One degree's matrix over the cell cap raises ResourceCapError."""
+    monkeypatch.setattr(linalg, "CELL_CAP", 4)
+    with pytest.raises(ResourceCapError) as err:
+        minimal_resolution(GradedModule.residue_field(SQ), 3)
+    assert err.value.cap_name == "cell_cap"
+    # the Buchberger route is not capped by cells
+    assert minimal_resolution(GradedModule.residue_field(XY), 3)
 
 
 def test_resolution_resolves_the_module():
@@ -167,12 +203,14 @@ def _steps(res, bound):
             [res.differential(n) for n in range(1, bound + 1)])
 
 
-def _forbid_groebner(monkeypatch):
+def _forbid_steps(monkeypatch):
+    """Make every resolution step fail: Buchberger and linear algebra."""
     def boom(*args, **kw):
-        raise AssertionError("copied step ran through Buchberger")
+        raise AssertionError("copied step was computed again")
 
     monkeypatch.setattr(resolution, "kernel_of_map", boom)
     monkeypatch.setattr(resolution, "minimal_generators", boom)
+    monkeypatch.setattr(linalg, "minimal_kernel", boom)
 
 
 @pytest.mark.parametrize("ring", [SQ, XY], ids=["sq", "xy"])
@@ -188,10 +226,11 @@ def test_twisted_resolution_is_copied_shift(ring, s, monkeypatch):
         scratch = GradedModule(ring, T.twists, T.relations, _minimal=True)
         fresh = minimal_resolution(scratch, 10)
         with monkeypatch.context() as mp:
-            _forbid_groebner(mp)
+            _forbid_steps(mp)
             copied = _steps(minimal_resolution(T, 8), 8)
         assert copied == _steps(fresh, 8), (seed, s)
-        # past the copy, extend() goes on with the same Groebner steps
+        # past the copy, extend() goes on with the steps a from-scratch
+        # run takes (linear algebra over SQ, Buchberger over XY)
         assert _steps(minimal_resolution(T, 10), 10) == _steps(fresh, 10)
         # twisting a module never resolved resolves it from scratch
         U = random_module(ring, seed).twisted(s)
@@ -213,7 +252,7 @@ def test_syzygy_resolution_is_copied_tail(ring, monkeypatch):
         assert S.twists == res.twist_list(n)
         assert S.relations == tuple(res.differential(n + 1))
         with monkeypatch.context() as mp:
-            _forbid_groebner(mp)
+            _forbid_steps(mp)
             head = minimal_resolution(S, 4)
         assert _steps(head, 4) == (
             [res.twist_list(n + j) for j in range(5)],
