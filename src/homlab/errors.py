@@ -10,8 +10,8 @@ class RingParseError(HomlabError):
 
 
 class NotPrimeError(HomlabError):
-    """Requested field characteristic is not prime, or too large for the
-    exact int64 arithmetic of the linear-algebra layer (p >= 2^31)."""
+    """Requested field characteristic is not prime, or outside the
+    supported range (p >= 2^31)."""
 
 
 class InhomogeneousError(HomlabError):

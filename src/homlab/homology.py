@@ -8,15 +8,15 @@ graded pieces (``GradedModule.pieces``): in internal degree d the map
 between two indices is assembled as sparse rows, the rows of a source
 slot holding, at the column offset of each target slot, the resolution
 entry acting by multiplication on a piece of N, and
-dim H = dim C - rank(out map) - rank(in map).  Zero verdicts are exact,
-by one of two routes: over artinian rings every graded piece lives
-inside a window bounded by the socle top degree, so vanishing of all
-dimensions there is a complete check; otherwise, for this certificate
-only, each index is presented over a free cover (one generator per slot
-and generator of N, with N's relations copied into every slot) and
-kernel generators are reduced to zero against a Groebner basis of the
-image plus those relations.  Verdicts are never read off truncated
-dimension tables.
+dim H = dim C - rank(out map) - rank(in map).  Zero verdicts are exact
+and read the same dimensions: H_i vanishes exactly when its graded
+dimensions vanish in a set of degrees that holds generators of H_i.
+Over an artinian ring that set is the window bounded by the socle top
+degree, where every graded piece of the complex lives; otherwise it is
+the degrees of the kernel generators of the map leaving index i,
+computed by syzygies over a free cover of the index (one generator per
+slot and generator of N), whose classes generate H_i.  Verdicts are
+never read off truncated dimension tables.
 
 Exact verdicts are memoized on M, one index at a time, keyed by
 (kind, N.key()): the vanishing checkers ask overlapping index windows of
@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import linalg
-from .groebner import (
-    elead,
-    groebner,
-    normal_form,
-    syzygies,
-)
+from .groebner import edeg, elead, groebner, syzygies
 from .resolution import GradedModule, minimal_resolution
 
 DEFAULT_CAP_PAD = 5
@@ -164,7 +159,7 @@ class _CoveredComplex:
 # homology of a covered complex
 
 
-def _preimage_gens(cols, sub_gens, ring, tgt_twists, src_rank):
+def _preimage_gens(cols, sub_gens, ring, tgt_twists):
     """Generators of the preimage of <sub_gens> under the column map."""
     combined = list(cols) + list(sub_gens)
     if not combined:
@@ -185,40 +180,34 @@ def _preimage_gens(cols, sub_gens, ring, tgt_twists, src_rank):
 
 def _kernel_gens_of_index(cx, i):
     """Module generators of ker(map leaving index i) inside the cover."""
-    tw_i, rels_i = cx.space(i)
-    if not tw_i:
-        return [], tw_i, rels_i
+    tw_i = cx.cover(i)
     out = cx.out_map(i)
     if out is None:
         zero = (0,) * cx.ring.nvars
-        gens = [{(a, zero): 1} for a in range(len(tw_i))]
-        return gens, tw_i, rels_i
+        return [{(a, zero): 1} for a in range(len(tw_i))]
     cols, tgt = out
     tw_t, rels_t = cx.space(tgt)
-    gens = _preimage_gens(cols, rels_t, cx.ring, tw_t, len(tw_i))
-    return gens, tw_i, rels_i
+    return _preimage_gens(cols, rels_t, cx.ring, tw_t)
 
 
 def _is_zero_at(cx, i):
-    """Exact verdict: homology at index i vanishes as a module."""
-    top = cx.ring.top_degree()
-    if top is not None:
-        # Over an artinian ring every graded piece of the complex sits in
-        # the window [min twist, max twist + socle top], so checking that
-        # all graded homology dimensions there vanish is an exact verdict.
-        tw_i = cx.cover(i)
-        if not tw_i:
-            return True
-        return not _dims_at(cx, i, range(min(tw_i), max(tw_i) + top + 1))
-    gens, tw_i, rels_i = _kernel_gens_of_index(cx, i)
+    """Exact verdict: homology at index i vanishes as a module.
+
+    H_i is zero exactly when its graded dimensions vanish in degrees that
+    hold generators of H_i: over an artinian ring every graded piece of
+    the complex sits in the window [min twist, max twist + socle top];
+    otherwise H_i is generated by the classes of the kernel generators.
+    """
+    tw_i = cx.cover(i)
     if not tw_i:
         return True
-    if not gens:
-        return True
-    inm = cx.in_map(i)
-    image_cols = list(inm[0]) if inm is not None else []
-    gb = groebner(image_cols + list(rels_i), cx.ring, len(tw_i), tw_i)
-    return all(not normal_form(g, gb) for g in gens)
+    top = cx.ring.top_degree()
+    if top is not None:
+        degrees = range(min(tw_i), max(tw_i) + top + 1)
+    else:
+        degrees = {edeg(g, tw_i, cx.ring.weights)
+                   for g in _kernel_gens_of_index(cx, i)}
+    return not _dims_at(cx, i, degrees)
 
 
 def _dims_at(cx, i, degrees):

@@ -11,17 +11,13 @@ are block matrices of these, with no relation rows.  Over an artinian
 ring, ``minimal_kernel`` computes a step of a minimal free resolution
 the same way, one elimination per degree of a finite window.
 
-Elimination is sparse: a row is a ``{column: value}`` dict of Python
-ints, and one reducer touches only nonzero entries, so it serves rank,
-reduced row echelon form and solving with no overflow bound.  Only
-``matmul_mod`` works on dense int64 matrices with entries in [0, p);
-PrimeField keeps p below 2^31, so one product stays below 2^62, and its
-sums of products are reduced mod p before they could pass 2^63.
+Everything is sparse: a row is a ``{column: value}`` dict of Python
+ints, one reducer touches only nonzero entries and serves rank, reduced
+row echelon form, solving and the kernel steps, and projections are
+sparse rows too.  No step has an overflow bound.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import ResourceCapError
 from .groebner import edeg, emul_term, reduce_elem_mod_ideal
@@ -30,24 +26,6 @@ from .ring import wdeg
 # cells (rows x columns) of the largest [image | identity] matrix one
 # degree of minimal_kernel may eliminate
 CELL_CAP = 4 * 10**6
-
-_INT64_MAX = 2**63 - 1
-
-
-def matmul_mod(A, B, p):
-    """A @ B over F_p for int64 matrices with entries in [0, p).
-
-    The inner dimension is cut into chunks whose partial sums, plus a
-    reduced accumulator, stay at most 2^63 - 1.
-    """
-    n = A.shape[1]
-    step = max(1, (_INT64_MAX - p) // (p - 1) ** 2)
-    if n <= step:
-        return (A @ B) % p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, n, step):
-        out = (out + A[:, s:s + step] @ B[s:s + step]) % p
-    return out
 
 
 def _entries(row):
@@ -265,9 +243,11 @@ class GradedPieces:
 
     Per degree e it keeps the cover-basis indices that form a basis of
     N_e (the non-pivot columns of the row-reduced relation rows) and the
-    projection matrix taking cover coordinates to that basis.  Per
-    (monomial, degree) it keeps the matrix of multiplication by the
-    monomial as sparse rows.  Both caches hold only the degrees asked for.
+    projection onto that basis, one sparse row per cover column: a free
+    column maps to its own basis vector, a pivot column to minus the
+    non-pivot entries of its reduced row.  Per (monomial, degree) it
+    keeps the matrix of multiplication by the monomial as sparse rows.
+    Both caches hold only the degrees asked for.
     """
 
     def __init__(self, ring, twists, rels):
@@ -287,13 +267,12 @@ class GradedPieces:
             R, pivots = rref_mod(rows, p)
             pivot_set = set(pivots)
             free = [j for j in range(len(basis)) if j not in pivot_set]
-            proj = np.zeros((len(basis), len(free)), dtype=np.int64)
-            proj[free, range(len(free))] = 1
             col = {j: k for k, j in enumerate(free)}
+            proj = [{col[j]: 1} if j in col else None
+                    for j in range(len(basis))]
+            # reduced rows hold only non-pivot columns besides their pivot
             for c, row in zip(pivots, R):
-                for j, v in row.items():
-                    if j != c:
-                        proj[c, col[j]] = p - v
+                proj[c] = {col[j]: p - v for j, v in row.items() if j != c}
             piece = self._pieces[e] = (free, proj)
         return piece
 
@@ -308,6 +287,7 @@ class GradedPieces:
         key = (mono, e)
         rows = self._mult.get(key)
         if rows is None:
+            p = self.ring.p
             f = wdeg(mono, self.ring.weights)
             free = self._piece(e)[0]
             rows = [{} for _ in free]
@@ -318,12 +298,11 @@ class GradedPieces:
                                         self.twists, e + f)
                 # project the images onto the basis of N_{e+f}
                 proj = self._piece(e + f)[1]
-                block = np.zeros((len(free), proj.shape[0]), dtype=np.int64)
-                for i, j in enumerate(free):
+                for row, j in zip(rows, free):
                     for c, v in images[j].items():
-                        block[i, c] = v
-                mat = matmul_mod(block, proj, self.ring.p)
-                for row, dense in zip(rows, mat.tolist()):
-                    row.update((j, v) for j, v in enumerate(dense) if v)
+                        for k, w in proj[c].items():
+                            row[k] = row.get(k, 0) + v * w
+                rows = [{k: r for k, a in row.items() if (r := a % p)}
+                        for row in rows]
             self._mult[key] = rows
         return rows

@@ -19,8 +19,9 @@ from .errors import (
 
 DEFAULT_CHARACTERISTIC = 32003
 
-# Dense linear algebra runs in int64: a product of two residues must stay
-# below 2^62 so that a sum of two, or a difference, cannot overflow.
+# The library computes in Python ints, with no overflow bound of its own;
+# this is the envelope the test suite checks, against an int64 oracle
+# whose products of two residues stay below 2^62.
 MAX_CHARACTERISTIC = 2**31 - 1
 
 
@@ -47,8 +48,8 @@ class PrimeField:
             raise NotPrimeError(f"characteristic {p} is not prime")
         if p > MAX_CHARACTERISTIC:
             raise NotPrimeError(
-                f"characteristic {p} is too large: exact int64 linear "
-                f"algebra needs p < 2^31"
+                f"characteristic {p} is too large: homlab supports "
+                f"p < 2^31"
             )
         self.p = p
 
@@ -133,14 +134,6 @@ def pscale(a, c, p):
     if c == 0:
         return {}
     return {m: (c * v) % p for m, v in a.items()}
-
-
-def pmul_term(a, mono, c, p):
-    """a * (c * mono)."""
-    c %= p
-    if c == 0:
-        return {}
-    return {mono_mul(m, mono): (c * v) % p for m, v in a.items()}
 
 
 def pmul(a, b, p):

@@ -6,6 +6,11 @@ taken as a vector-space quotient (span of all monomial multiples of the
 generators), never through a Groebner basis.  This gives a second,
 structurally unrelated route to Hilbert functions, submodule
 membership, exactness of complexes and graded homology dimensions.
+
+One reference at the end is the exception: ``groebner_zero_verdict``
+keeps the Groebner normal-form certificate of homology vanishing, run on
+the package's own Groebner engine, as a second route to the zero
+verdicts that the package reads off graded dimensions.
 """
 
 from __future__ import annotations
@@ -268,3 +273,30 @@ def resolution_exact_and_minimal(ring, res, top, dmax):
                                     tw_next, d):
                 exact = False
     return exact, minimal
+
+
+# ---------------------------------------------------------------------------
+# zero verdicts by the Groebner normal-form certificate
+
+
+def groebner_zero_verdict(cx, i):
+    """Does homology vanish at index i of a ``homology._CoveredComplex``?
+
+    The index is presented over its free cover with N's relations in
+    every slot; it vanishes exactly when every kernel generator of the
+    map leaving it reduces to zero against a Groebner basis of the image
+    of the map arriving plus those relations.
+    """
+    from homlab.groebner import groebner, normal_form
+    from homlab.homology import _kernel_gens_of_index
+
+    tw_i, rels_i = cx.space(i)
+    if not tw_i:
+        return True
+    gens = _kernel_gens_of_index(cx, i)
+    if not gens:
+        return True
+    inm = cx.in_map(i)
+    image = list(inm[0]) if inm is not None else []
+    gb = groebner(image + list(rels_i), cx.ring, len(tw_i), tw_i)
+    return all(not normal_form(g, gb) for g in gens)

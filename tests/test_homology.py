@@ -1,5 +1,10 @@
 """Tor/Ext reports, zero certificates, finite length, socle."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import oracle
@@ -156,6 +161,49 @@ def test_tor_zero_iff_dims_zero_artinian():
         rep = tor(M, N, (0, 5), exact=True, dims=True)
         for i in range(6):
             assert rep.is_zero[i] == (not rep.dims.get(i))
+
+
+@pytest.mark.parametrize("spec, seeds", [
+    ("p=32003; vars x,y; ci: x*y", range(25, 33)),
+    ("p=32003; vars x,y,z; ci: x^2, y^2", range(25, 28)),
+], ids=["xy", "xyz-sq"])
+def test_zero_verdicts_match_groebner_certificate(spec, seeds):
+    """Over positive-dimensional rings the verdicts read off graded
+    dimensions at the kernel-generator degrees equal the Groebner
+    normal-form certificate, for k and a random partner."""
+    ring = parse_ring(spec)
+    for seed in seeds:
+        M = random_module(ring, seed)
+        for N in (residue_field_of(ring), random_module(ring, seed + 100)):
+            for kind, fn in (("Tor", tor), ("Ext", ext)):
+                rep = fn(M, N, (0, 5), dims=False)
+                cx = _CoveredComplex(M, N, 5, kind)
+                for i in range(6):
+                    assert rep.is_zero[i] == oracle.groebner_zero_verdict(
+                        cx, i), (kind, seed, i)
+
+
+def test_library_runs_without_numpy():
+    """homlab imports and computes Tor and Ext with numpy unavailable."""
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        from homlab import GradedModule, ext, parse_ring, tor
+        sq = parse_ring("p=32003; vars x,y; ci: x^2, y^2")
+        xy = parse_ring("p=32003; vars x,y; ci: x*y")
+        M = GradedModule.cyclic(sq, ["x"])
+        rep = tor(M, GradedModule.residue_field(sq), (0, 3))
+        assert not any(rep.is_zero.values())
+        M, N = GradedModule.cyclic(xy, ["x"]), GradedModule.cyclic(xy, ["y"])
+        rep = ext(M, N, (0, 3))
+        assert [rep.is_zero[i] for i in range(4)] == [True, False] * 2
+    """)
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_free_partner_shortcuts_are_exact():

@@ -1,15 +1,23 @@
 """Linear algebra mod p, checked against Python integers and the oracle's
-dense loop elimination, up to the largest supported characteristic.
+dense loop elimination, up to the largest supported characteristic, and
+the multiplication maps of the graded-piece model.
 
 The sparse reducer behind rank_mod, rref_mod and solve_mod takes dict rows
 and dense rows alike; the randomized tests feed it both."""
 
 import random
 
-import numpy as np
-
 import oracle
-from homlab.linalg import matmul_mod, rank_mod, rref_mod, solve_mod
+from homlab.harness import random_module
+from homlab.linalg import (
+    GradedPieces,
+    free_basis,
+    rank_mod,
+    rref_mod,
+    solve_mod,
+)
+from homlab.ring import mono_mul, wdeg
+from test_homology import ORACLE_RINGS
 
 BIG = 2**31 - 1
 
@@ -51,16 +59,66 @@ def _with_dependent_rows(rng, rows, p):
     return rows
 
 
-def test_matmul_mod_matches_python_ints_at_largest_prime():
-    rng = random.Random(0)
-    for n, k, m in ((1, 1, 1), (3, 7, 2), (9, 40, 5), (4, 3, 11)):
-        A = _random_matrix(rng, BIG, n, k)
-        B = _random_matrix(rng, BIG, k, m)
-        want = [[sum(A[i][t] * B[t][j] for t in range(k)) % BIG
-                 for j in range(m)] for i in range(n)]
-        got = matmul_mod(np.array(A, dtype=np.int64),
-                         np.array(B, dtype=np.int64), BIG)
-        assert got.tolist() == want
+def _compose(A, B, p):
+    """Rows of A then B, as {column: value} rows with entries in [0, p)."""
+    out = []
+    for row in A:
+        acc = {}
+        for k, v in row.items():
+            for j, w in B[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: r for j, a in acc.items() if (r := a % p)})
+    return out
+
+
+def _rows_are_products(pieces, M, mono, e, rows):
+    """Row j of mult(mono, e) is the class of mono times basis vector j:
+    the oracle finds their difference in the relation submodule."""
+    ring = M.ring
+    f = e + wdeg(mono, ring.weights)
+    src, tgt = (free_basis(ring, M.twists, d) for d in (e, f))
+    tgt_free = pieces._piece(f)[0]
+    for j, row in zip(pieces._piece(e)[0], rows):
+        pos, m = src[j]
+        diff = {(pos, mono_mul(m, mono)): 1}
+        for k, v in row.items():
+            t = tgt[tgt_free[k]]
+            diff[t] = diff.get(t, 0) - v
+        diff = {t: c for t, c in diff.items() if c % ring.p}
+        if diff and not oracle.membership(ring, M.twists, M.relations, diff):
+            return False
+    return True
+
+
+def test_graded_pieces_mult_composes_and_matches_oracle_dims():
+    """Multiplication maps between graded pieces of random modules, over
+    the oracle rings (non-monomial ideal and p = 2^31 - 1 among them):
+    entries lie in [0, p), multiplying by m1 then by m2 is multiplying
+    by m1 * m2, each row is the class of the product, and every piece
+    has the oracle's dimension."""
+    rng = random.Random(6)
+    for ring in ORACLE_RINGS:
+        p = ring.p
+        for seed in rng.sample(range(100), 2):
+            M = random_module(ring, seed)
+            if M.is_zero:
+                continue
+            pieces = GradedPieces(ring, M.twists, M.relations)
+            lo = min(M.twists)
+            for _ in range(6):
+                m1, m2 = (tuple(rng.randrange(2) for _ in range(ring.nvars))
+                          for _ in range(2))
+                e = rng.randrange(lo, lo + 3)
+                f = e + wdeg(m1, ring.weights)
+                A, B = pieces.mult(m1, e), pieces.mult(m2, f)
+                AB = pieces.mult(mono_mul(m1, m2), e)
+                assert all(0 < v < p for rows in (A, B, AB)
+                           for row in rows for v in row.values())
+                assert _compose(A, B, p) == AB, (ring.key(), seed, m1, m2, e)
+                assert _rows_are_products(pieces, M, m1, e, A)
+                for d in (e, f, f + wdeg(m2, ring.weights)):
+                    assert pieces.dim(d) == oracle.module_piece_dim(
+                        ring, M.twists, M.relations, d)
 
 
 def test_rank_mod_matches_loop_reference():

@@ -43,7 +43,7 @@ def test_nonprime_characteristic_rejected():
 
 
 def test_characteristic_beyond_int64_arithmetic_rejected():
-    """Dense elimination in int64 is exact only for p < 2^31."""
+    """Characteristics from 2^31 on lie outside the checked envelope."""
     with pytest.raises(NotPrimeError, match="2\\^31"):
         parse_ring("p=4294967311; vars x,y; ci: x*y")
     assert parse_ring("p=2147483647; vars x,y; ci: x*y").p == 2**31 - 1
