@@ -61,7 +61,6 @@ from .harness import (
     explore_condition,
     ext_jump_check,
     length_identity_check,
-    module_betti_table,
     random_module,
     reproduce_paper_example,
     residue_field_of,

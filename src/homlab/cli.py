@@ -40,7 +40,6 @@ from .harness import (
     complexity_estimate,
     corpus_sweep,
     explore_condition,
-    module_betti_table,
     random_module,
     reproduce_paper_example,
     residue_field_of,
@@ -48,6 +47,7 @@ from .harness import (
 from .homology import ext, tor
 from .resolution import (
     GradedModule,
+    betti_table,
     depth,
     minimal_resolution,
     module_from_json,
@@ -144,7 +144,7 @@ def cmd_resolve(args):
 def cmd_betti(args):
     ring = _ring_of(args)
     M = parse_module(args.module, ring)
-    bt = module_betti_table(M, args.bound)
+    bt = betti_table(M, args.bound)
     _emit(args, bt.to_json(), bt.render())
     return EXIT_CLEAN
 

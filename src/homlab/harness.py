@@ -7,7 +7,8 @@ horizon.  A met hypothesis with a failed conclusion is recorded as a
 COUNTEREXAMPLE — for the proved theorems that is a self-test failure,
 for the open nonuniform-gap condition it goes to a findings log.
 Complete intersections are Cohen-Macaulay, so the theorems' depth A is
-read as ``ring.krull_dim``.
+read as ``ring.krull_dim``.  Complexity is read off the Betti table of
+the module's own minimal resolution, on every ring.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .homology import (
     tor_symmetry_check,
 )
 from .resolution import (
-    BettiTable,
     GradedModule,
     betti_table,
     depth,
@@ -46,38 +46,6 @@ def residue_field_of(ring: QuotientRing) -> GradedModule:
     if ring._residue_field is None:
         ring._residue_field = GradedModule.residue_field(ring)
     return ring._residue_field
-
-
-def module_betti_table(M: GradedModule, bound: int) -> BettiTable:
-    """Graded Betti numbers of M out to `bound`.
-
-    Over artinian rings they are read off as beta_{i,d} =
-    dim Tor_i(k, M)_d from the cached resolution of k — exact, since
-    the degree support of the tensor complex is bounded by the socle.
-    Elsewhere the minimal resolution of M is used directly.
-    """
-    if M.is_zero:
-        return BettiTable(entries={}, totals=[0] * (bound + 1))
-    ring = M.ring
-    if ring.krull_dim != 0:
-        return betti_table(M, bound)
-    k = residue_field_of(ring)
-    res = minimal_resolution(k, bound + 1)
-    max_u = max(
-        (max(res.twist_list(i)) for i in range(bound + 1)
-         if res.twist_list(i)),
-        default=0,
-    )
-    cap = max_u + max(M.twists) + ring.top_degree()
-    rep = tor(k, M, (0, bound), cap=cap, exact=False, dims=True)
-    entries = {}
-    totals = []
-    for n in range(bound + 1):
-        dd = rep.dims.get(n, {})
-        totals.append(sum(dd.values()))
-        for d, v in dd.items():
-            entries[(n, d)] = v
-    return BettiTable(entries=entries, totals=totals)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +89,10 @@ def _poly_degree(seq):
 def complexity_estimate(arg, bound: int = DEFAULT_CX_BOUND) -> ComplexityEstimate:
     """Growth rate of the Betti sequence: 0 = finite pd, 1 = bounded, ...
 
-    Accepts a GradedModule (resolved to `bound`) or a BettiTable.  The
-    fit uses the last WINDOW_SIZE total Betti numbers, split into even-
-    and odd-index subsequences.
+    Accepts a GradedModule, whose Betti table ``betti_table(M, bound)``
+    is read off its own minimal resolution to `bound` on every ring, or
+    a BettiTable.  The fit uses the last WINDOW_SIZE total Betti
+    numbers, split into even- and odd-index subsequences.
     """
     if isinstance(arg, GradedModule):
         if arg.is_zero:
@@ -131,7 +100,7 @@ def complexity_estimate(arg, bound: int = DEFAULT_CX_BOUND) -> ComplexityEstimat
         cached = arg._cx_estimate
         if cached is not None and cached[0] == bound:
             return cached[1]
-        bt = module_betti_table(arg, bound)
+        bt = betti_table(arg, bound)
         est = _estimate_from_table(arg, bt, bound)
         arg._cx_estimate = (bound, est)
         return est

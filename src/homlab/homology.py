@@ -5,9 +5,9 @@ Hom(F_M, N).  Index i of either complex is a sum of shifted copies of N,
 one slot per generator of F_i: N(-t_a) for the tensor complex, N(t_a)
 for Hom.  Graded dimensions are read in the quotient coordinates of N's
 graded pieces (``GradedModule.pieces``): in internal degree d the map
-between two indices is assembled as sparse rows, the rows of a source
-slot holding, at the column offset of each target slot, the resolution
-entry acting by multiplication on a piece of N, and
+between two indices is ``linalg.block_rows`` of the resolution entries,
+the rows of a source slot holding, at the column offset of each target
+slot, the entry acting by multiplication on a piece of N, and
 dim H = dim C - rank(out map) - rank(in map).  Zero verdicts are exact
 and read the same dimensions: H_i vanishes exactly when its graded
 dimensions vanish in a set of degrees that holds generators of H_i.
@@ -28,7 +28,6 @@ dimension tables, never a verdict, so it is not part of the key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from . import linalg
 from .groebner import edeg, elead, groebner, syzygies
@@ -85,14 +84,9 @@ class _CoveredComplex:
     def entries(self, j):
         """(source slot, target slot, polynomial) of the map built on d_j."""
         if j not in self._entries:
-            out = []
-            for a, dcol in enumerate(self.res.differential(j)):
-                polys = {}
-                for (a_t, m), c in dcol.items():
-                    polys.setdefault(a_t, {})[m] = c
-                for a_t, poly in polys.items():
-                    out.append((a, a_t, poly) if self.step < 0
-                               else (a_t, a, poly))
+            out = linalg.slot_entries(self.res.differential(j))
+            if self.step > 0:
+                out = [(a_t, a, poly) for a, a_t, poly in out]
             self._entries[j] = out
         return self._entries[j]
 
@@ -135,23 +129,11 @@ class _CoveredComplex:
         return self._ranks[key]
 
     def _block_rank(self, src, tgt, d):
-        pieces = self.N.pieces
-        s_src = self.shifts(src)
-        rdims, cdims = self.slot_dims(src, d), self.slot_dims(tgt, d)
-        if not sum(rdims) or not sum(cdims):
+        rows, ncols = linalg.block_rows(self.N.pieces,
+                                        self.entries(max(src, tgt)),
+                                        self.shifts(src), self.shifts(tgt), d)
+        if not rows or not ncols:
             return 0
-        roff = list(accumulate(rdims, initial=0))
-        coff = list(accumulate(cdims, initial=0))
-        rows = [{} for _ in range(roff[-1])]
-        for a, a_t, poly in self.entries(max(src, tgt)):
-            if not rdims[a] or not cdims[a_t]:
-                continue
-            e = d - s_src[a]
-            block, c0 = rows[roff[a]:roff[a + 1]], coff[a_t]
-            for m, c in poly.items():
-                for row, mrow in zip(block, pieces.mult(m, e)):
-                    for j, v in mrow.items():
-                        row[c0 + j] = row.get(c0 + j, 0) + c * v
         return linalg.rank_mod(rows, self.ring.p)
 
 
@@ -333,20 +315,17 @@ def socle_dimension(ring):
     if top is None:
         return None
     if ring._socle_dim is None:
-        pieces = linalg.GradedPieces(ring, (0,), ())
-        variables = [tuple(int(j == v) for j in range(ring.nvars))
-                     for v in range(ring.nvars)]
+        # the variables' maps side by side: target slot v is R(w_v), so
+        # its columns are the coordinates of the product with x_v
+        entries = [(0, v, {tuple(int(j == v) for j in range(ring.nvars)): 1})
+                   for v in range(ring.nvars)]
+        shifts = [-w for w in ring.weights]
         total = 0
         for d in range(top + 1):
-            nb = pieces.dim(d)
-            if nb:
-                # the variables' maps side by side: column (v, j) is
-                # coordinate j of the product with variable v
-                rows = [{} for _ in range(nb)]
-                for v, x in enumerate(variables):
-                    for row, mrow in zip(rows, pieces.mult(x, d)):
-                        row.update(((v, j), c) for j, c in mrow.items())
-                total += nb - linalg.rank_mod(rows, ring.p)
+            rows, _ = linalg.block_rows(linalg.ring_pieces(ring), entries,
+                                        (0,), shifts, d)
+            if rows:
+                total += len(rows) - linalg.rank_mod(rows, ring.p)
         ring._socle_dim = total
     return ring._socle_dim
 

@@ -6,10 +6,11 @@ is read in quotient coordinates: in each degree e the relation rows are
 row-reduced once, the non-pivot columns of the cover basis form a basis
 of N_e, and a cover vector is projected onto that basis by eliminating
 its pivot coordinates.  Multiplication by a monomial is then a small
-sparse matrix N_e -> N_{e + deg m}, and maps of complexes built from N
-are block matrices of these, with no relation rows.  Over an artinian
-ring, ``minimal_kernel`` computes a step of a minimal free resolution
-the same way, one elimination per degree of a finite window.
+sparse matrix N_e -> N_{e + deg m}, cached, and every map between sums
+of shifted copies of N is assembled from these by ``block_rows``, with
+no relation rows.  Over an artinian ring, ``minimal_kernel`` computes a
+step of a minimal free resolution the same way over the ring's own
+pieces (``ring_pieces``), one elimination per degree of a finite window.
 
 Everything is sparse: a row is a ``{column: value}`` dict of Python
 ints, one reducer touches only nonzero entries and serves rank, reduced
@@ -18,6 +19,8 @@ sparse rows too.  No step has an overflow bound.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .errors import ResourceCapError
 from .groebner import edeg, emul_term, reduce_elem_mod_ideal
@@ -177,6 +180,55 @@ def map_rows(ring, src_twists, cols, tgt_twists, d):
     return src_basis, tgt_basis, rows
 
 
+def ring_pieces(ring):
+    """The graded pieces of the ring itself, one per ring (``ring._pieces``).
+
+    Its degree-e basis is ``standard_monomials(e)`` in order and its
+    projection the identity, so its rows are free-module coordinates.
+    """
+    if ring._pieces is None:
+        ring._pieces = GradedPieces(ring, (0,), ())
+    return ring._pieces
+
+
+def slot_entries(cols):
+    """(source slot, target slot, polynomial) triples of a column map."""
+    out = []
+    for a, col in enumerate(cols):
+        polys = {}
+        for (a_t, m), c in col.items():
+            polys.setdefault(a_t, {})[m] = c
+        out.extend((a, a_t, poly) for a_t, poly in polys.items())
+    return out
+
+
+def block_rows(pieces, entries, src_shifts, tgt_shifts, d):
+    """Degree-d rows of a map between sums of shifted copies of one module.
+
+    Slot a of the source is N(-src_shifts[a]), slot b of the target
+    N(-tgt_shifts[b]), and an entry (a, b, poly) multiplies slot a into
+    slot b.  Returns (rows, number of columns): the rows of a source slot
+    hold, at the column offset of each target slot, the sum of c times
+    ``pieces.mult(m, d - src_shifts[a])`` over the terms c*m of the
+    polynomial.  Entries are Python ints, not reduced mod p.
+    """
+    rdims = [pieces.dim(d - s) for s in src_shifts]
+    cdims = [pieces.dim(d - s) for s in tgt_shifts]
+    roff = list(accumulate(rdims, initial=0))
+    coff = list(accumulate(cdims, initial=0))
+    rows = [{} for _ in range(roff[-1])]
+    for a, b, poly in entries:
+        if not rdims[a] or not cdims[b]:
+            continue
+        e = d - src_shifts[a]
+        block, c0 = rows[roff[a]:roff[a + 1]], coff[b]
+        for m, c in poly.items():
+            for row, mrow in zip(block, pieces.mult(m, e)):
+                for j, v in mrow.items():
+                    row[c0 + j] = row.get(c0 + j, 0) + c * v
+    return rows, coff[-1]
+
+
 def minimal_kernel(cols, ring, src_twists, tgt_twists):
     """Minimal generators of the kernel of a map of free modules over an
     artinian quotient ring, by linear algebra on graded pieces.
@@ -190,33 +242,36 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists):
     piece map on the other source coordinates; that kernel, read off
     the rows of [image | identity] whose image part eliminates to zero,
     is the set of new generators of degree e, each scaled to 1 at its
-    pivot.  Returns them as module elements in ascending degree.  Raises
+    pivot.  The piece map and the maps x_v are block rows over
+    ``ring_pieces``, in ``free_basis`` coordinates.  Returns the new
+    generators as module elements in ascending degree.  Raises
     ResourceCapError when one degree's [image | identity] matrix has
     more than CELL_CAP cells.
     """
     p = ring.p
+    pieces = ring_pieces(ring)
     src_twists = tuple(src_twists)
-    units = [tuple(int(i == v) for i in range(ring.nvars))
+    slots = range(len(src_twists))
+    entries = slot_entries(cols)
+    units = [{tuple(int(i == v) for i in range(ring.nvars)): 1}
              for v in range(ring.nvars)]
     kernels = {}   # e -> basis of ker_e, as rows over free_basis(e)
     gens = []
     for e in range(min(src_twists), max(src_twists) + ring.top_degree() + 1):
-        basis, tgt_basis, images = map_rows(ring, src_twists, cols,
-                                            tgt_twists, e)
-        nt, ns = len(tgt_basis), len(basis)
+        images, nt = block_rows(pieces, entries, src_twists, tgt_twists, e)
+        ns = len(images)
         if ns * (nt + ns) > CELL_CAP:
             raise ResourceCapError(
                 f"cell cap {CELL_CAP} exceeded by a {ns} x {nt + ns} "
                 f"matrix in degree {e}", "cell_cap", CELL_CAP)
         below = {}
-        for w, unit in zip(ring.weights, units):
+        for w, x in zip(ring.weights, units):
             lower = kernels.get(e - w)
             if not lower:
                 continue
             # multiplication by x_v, (F_src)_{e-w} -> (F_src)_e
-            _, _, times = map_rows(ring, tuple(t + w for t in src_twists),
-                                   [{(b, unit): 1} for b in
-                                    range(len(src_twists))], src_twists, e)
+            times, _ = block_rows(pieces, [(b, b, x) for b in slots],
+                                  [t + w for t in src_twists], src_twists, e)
             for k in lower:
                 row = {}
                 for j, c in k.items():
@@ -233,7 +288,9 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists):
         new = [{j - nt: v for j, v in pivots[c].items()}
                for c in sorted(pivots) if c >= nt]
         kernels[e] = list(below.values()) + new
-        gens.extend({basis[j]: v for j, v in k.items()} for k in new)
+        if new:
+            basis = free_basis(ring, src_twists, e)
+            gens.extend({basis[j]: v for j, v in k.items()} for k in new)
     return gens
 
 

@@ -83,13 +83,7 @@ class GradedModule:
                  _minimal=False):
         self.ring = ring
         self.twists = tuple(int(t) for t in twists)
-        rels = []
-        for col in relations:
-            col = reduce_elem_mod_ideal(col, ring)
-            if col:
-                edeg(col, self.twists, ring.weights)  # homogeneity check
-                rels.append(col)
-        self.relations = tuple(rels)
+        self.relations = tuple(relations)
         self.pieces = linalg.GradedPieces(ring, self.twists, self.relations)
         self.name = name
         self._key = None  # memo of key()

@@ -340,6 +340,7 @@ class QuotientRing:
         self._top_degree = -1
         self._residue_field = None  # filled by harness.residue_field_of
         self._socle_dim = None  # filled by homology.socle_dimension
+        self._pieces = None  # filled by linalg.ring_pieces
         if check and self.codim > 0:
             report = check_complete_intersection(self.ambient(), self.ci_generators)
             if not report.ok:

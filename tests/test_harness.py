@@ -19,11 +19,12 @@ from homlab import (
     complexity_estimate,
     corpus_sweep,
     explore_condition,
-    module_betti_table,
+    minimal_resolution,
     parse_ring,
     random_module,
     reproduce_paper_example,
     residue_field_of,
+    tor,
 )
 
 XY = parse_ring("p=32003; vars x,y; ci: x*y")
@@ -61,14 +62,26 @@ def test_cx_methods_and_confidence():
     assert per.method == "periodicity" and per.confidence == "fitted"
 
 
-def test_artinian_betti_fast_path_matches_resolution():
-    for ring in (SQ, Z3):
+def test_artinian_betti_table_matches_tor_with_residue_field():
+    """Betti tables come from M's own resolution; over artinian rings
+    they must equal the graded dims of Tor(k, M), read with an exact cap:
+    the tensor complex of k's F_0..F_8 with M lives below the largest
+    twist of k's resolution plus M's largest twist plus the socle degree.
+    """
+    NM = parse_ring("p=32003; vars x,y; ci: x^2 - y^2, x*y")
+    for ring in (SQ, Z3, NM):
+        k = residue_field_of(ring)
+        res = minimal_resolution(k, 8)
+        max_u = max(max(res.twist_list(i)) for i in range(9))
         for seed in (0, 1, 2):
             M = random_module(ring, seed)
             if M.is_zero:
                 continue
-            assert module_betti_table(M, 7).entries == \
-                betti_table(M, 7).entries
+            cap = max_u + max(M.twists) + ring.top_degree()
+            rep = tor(k, M, (0, 7), cap=cap, exact=False)
+            want = {(n, d): v for n, dd in rep.dims.items()
+                    for d, v in dd.items()}
+            assert betti_table(M, 7).entries == want, (ring.key(), seed)
 
 
 # ---------------------------------------------------------------------------

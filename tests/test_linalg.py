@@ -11,11 +11,16 @@ import oracle
 from homlab.harness import random_module
 from homlab.linalg import (
     GradedPieces,
+    block_rows,
     free_basis,
+    map_rows,
     rank_mod,
+    ring_pieces,
     rref_mod,
+    slot_entries,
     solve_mod,
 )
+from homlab.resolution import minimal_resolution
 from homlab.ring import mono_mul, wdeg
 from test_homology import ORACLE_RINGS
 
@@ -119,6 +124,41 @@ def test_graded_pieces_mult_composes_and_matches_oracle_dims():
                 for d in (e, f, f + wdeg(m2, ring.weights)):
                     assert pieces.dim(d) == oracle.module_piece_dim(
                         ring, M.twists, M.relations, d)
+
+
+def test_block_rows_over_ring_pieces_match_map_rows():
+    """The identity minimal_kernel rests on: over an artinian ring the
+    block rows of a differential, read from the ring's own cached
+    multiplication matrices, are its map_rows images mod p, row for row
+    and in the same coordinates.  Differentials of random resolutions
+    over the artinian oracle rings (non-monomial ideal and
+    p = 2^31 - 1 among them)."""
+    rng = random.Random(7)
+    for ring in ORACLE_RINGS:
+        top = ring.top_degree()
+        if top is None:
+            continue
+        p = ring.p
+        pieces = ring_pieces(ring)
+        assert ring_pieces(ring) is pieces
+        for seed in rng.sample(range(100), 4):
+            M = random_module(ring, seed)
+            if M.is_zero:
+                continue
+            res = minimal_resolution(M, 4)
+            for n in range(1, 5):
+                cols = res.differential(n)
+                src, tgt = res.twist_list(n), res.twist_list(n - 1)
+                if not cols:
+                    continue
+                entries = slot_entries(cols)
+                for d in range(min(src), max(src) + top + 1):
+                    rows, ncols = block_rows(pieces, entries, src, tgt, d)
+                    _, tgt_basis, want = map_rows(ring, src, cols, tgt, d)
+                    assert ncols == len(tgt_basis)
+                    got = [{j: r for j, v in row.items() if (r := v % p)}
+                           for row in rows]
+                    assert got == want, (ring.key(), seed, n, d)
 
 
 def test_rank_mod_matches_loop_reference():
