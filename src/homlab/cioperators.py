@@ -25,9 +25,11 @@ from .groebner import (
     eadd,
     elem_component,
     emul_term,
+    escale,
     reduce_elem_mod_ideal,
 )
-from .homology import ext, tor
+from .harness import complexity_estimate, residue_field_of
+from .homology import _default_cap, ext, tor
 from .resolution import (
     GradedModule,
     depth,
@@ -147,6 +149,38 @@ class ChainMap:
         )
 
 
+def _operator_cols(res, rows, bound):
+    """Columns of sum_j w_j T_j at levels 2..bound, one dict per row w.
+
+    Each entry of the ambient composite d_{i-1} d_i is decomposed once
+    as sum_j f_j q_j; the column of a row w is sum_j w_j q_j, reduced
+    modulo the ideal.
+    """
+    ring = res.ring
+    p = ring.p
+    out = [{} for _ in rows]
+    for i in range(2, bound + 1):
+        d_im1 = res.differential(i - 1)
+        tgt_rank = len(res.twist_list(i - 2))
+        for cols in out:
+            cols[i] = []
+        for col in res.differential(i):
+            dd = _apply_cols(d_im1, col, p)  # ambient, no reduction
+            parts = [{} for _ in ring.ci_generators]
+            for pos in range(tgt_rank):
+                entry = elem_component(dd, pos)
+                if entry:
+                    qs = decompose_in_ideal(ring, entry)
+                    for part, q in zip(parts, qs):
+                        part.update(((pos, m), c) for m, c in q.items())
+            for w, cols in zip(rows, out):
+                acc = {}
+                for wj, part in zip(w, parts):
+                    acc = eadd(acc, escale(part, wj, p), p)
+                cols[i].append(reduce_elem_mod_ideal(acc, ring))
+    return out
+
+
 def eisenbud_operators(M: GradedModule, bound: int):
     """The chain maps T_1..T_c with d~ d~ = sum f_j T~_j, one per ci gen.
 
@@ -156,41 +190,18 @@ def eisenbud_operators(M: GradedModule, bound: int):
     ring = M.ring
     res = minimal_resolution(M, bound)
     gens = ring.ci_generators
-    ops = [
-        ChainMap(res=res, shift=2, degree=pdeg(f, ring.weights),
-                 cols={}, label=f"T{j + 1}")
-        for j, f in enumerate(gens)
+    units = [[int(j == k) for j in range(len(gens))] for k in range(len(gens))]
+    cols = _operator_cols(res, units, bound)
+    return [
+        ChainMap(res=res, shift=2, degree=pdeg(f, ring.weights), cols=c,
+                 label=f"T{j + 1}")
+        for j, (f, c) in enumerate(zip(gens, cols))
     ]
-    for i in range(2, bound + 1):
-        d_i = res.differential(i)
-        d_im1 = res.differential(i - 1)
-        tgt_rank = len(res.twist_list(i - 2))
-        for op in ops:
-            op.cols[i] = []
-        for a, col in enumerate(d_i):
-            # ambient composite d_{i-1} o d_i on generator a, no reduction
-            dd = {}
-            for (pos, m), c in col.items():
-                dd = eadd(dd, emul_term(d_im1[pos], m, c, ring.p), ring.p)
-            parts = [dict() for _ in gens]
-            for pos in range(tgt_rank):
-                entry = elem_component(dd, pos)
-                if not entry:
-                    continue
-                qs = decompose_in_ideal(ring, entry)
-                for j, q in enumerate(qs):
-                    for m, c in q.items():
-                        key = (pos, m)
-                        parts[j][key] = (parts[j].get(key, 0) + c) % ring.p
-            for j, op in enumerate(ops):
-                op.cols[i].append(
-                    reduce_elem_mod_ideal(parts[j], ring)
-                )
-    return ops
 
 
 def eta(M: GradedModule, coeffs, bound: int) -> ChainMap:
-    """eta = sum c_j T_j; the ci gens with nonzero c_j must share a degree."""
+    """eta = sum c_j T_j on levels 2..bound; the ci gens with nonzero c_j
+    must share a degree."""
     ring = M.ring
     coeffs = list(coeffs)
     if len(coeffs) != len(ring.ci_generators):
@@ -206,23 +217,10 @@ def eta(M: GradedModule, coeffs, bound: int) -> ChainMap:
         raise ValueError(
             "eta mixes ci generators of different degrees: " + str(sorted(degs))
         )
-    D = degs.pop()
-    ops = eisenbud_operators(M, bound)
-    out = ChainMap(res=ops[0].res, shift=2, degree=D, cols={},
-                   label="eta" + str([c % ring.p for c in coeffs]))
-    for i in ops[0].levels():
-        rank = len(out.res.twist_list(i))
-        cols = []
-        for a in range(rank):
-            acc = {}
-            for c, op in zip(coeffs, ops):
-                if c % ring.p:
-                    part = {t: (v * c) % ring.p
-                            for t, v in op.cols[i][a].items()}
-                    acc = eadd(acc, part, ring.p)
-            cols.append(reduce_elem_mod_ideal(acc, ring))
-        out.cols[i] = cols
-    return out
+    res = minimal_resolution(M, bound)
+    [cols] = _operator_cols(res, [coeffs], bound)
+    return ChainMap(res=res, shift=2, degree=degs.pop(), cols=cols,
+                    label="eta" + str([c % ring.p for c in coeffs]))
 
 
 def eta_power(eta_map: ChainMap, t: int) -> ChainMap:
@@ -254,17 +252,14 @@ class PushoutModule:
     t: int
     degree: int
 
-    def check_exact(self, lo=None, hi=None):
+    def check_exact(self):
         """Hilbert additivity hilb(K) = hilb(sub) + hilb(quot) on a window."""
         twists = list(self.module.twists) + list(self.sub.twists) \
             + list(self.quot.twists)
         if not twists:
             return True
-        if lo is None:
-            lo = min(twists)
-        if hi is None:
-            hi = max(twists) + 2 * max(self.module.ring.weights) + 6
-        for d in range(lo, hi + 1):
+        hi = max(twists) + 2 * max(self.module.ring.weights) + 6
+        for d in range(min(twists), hi + 1):
             if self.module.hilbert_function(d) != (
                 self.sub.hilbert_function(d) + self.quot.hilbert_function(d)
             ):
@@ -343,29 +338,19 @@ def _segments_telescope(flat):
     return True
 
 
-def _les_telescope(kind, A, B, C, lo, hi, degrees):
+def _les_telescope(quot, K, sub, lo, hi, degrees):
     """LES bookkeeping of 0 -> sub -> K -> quot -> 0 per internal degree.
 
-    Ext(-, N):  0 -> A_0 -> B_0 -> C_0 -> A_1 -> ...   (A = Ext(quot))
-    Tor(-, N):  ... -> A_1 -> B_1 -> C_1 -> A_0 -> B_0 -> C_0 -> 0
-    with A = Tor(sub), B the middle term, C = Tor(quot).
+    Ext(-, N):  0 -> Ext^0(quot) -> Ext^0(K) -> Ext^0(sub) -> Ext^1(quot)
+    Tor(-, N):  Tor_1(quot) -> Tor_0(sub) -> Tor_0(K) -> Tor_0(quot) -> 0
+    Read from the genuine zero end (Tor backwards), both list
+    0, quot_lo, K_lo, sub_lo, quot_{lo+1}, ...
     """
     ok = True
     for d in degrees:
-        if kind == "Ext":
-            flat = [0]
-            for i in range(lo, hi + 1):
-                flat.append(A.get(i, {}).get(d, 0))
-                flat.append(B.get(i, {}).get(d, 0))
-                flat.append(C.get(i, {}).get(d, 0))
-        else:
-            flat = []
-            for i in range(hi, lo - 1, -1):
-                flat.append(A.get(i, {}).get(d, 0))
-                flat.append(B.get(i, {}).get(d, 0))
-                flat.append(C.get(i, {}).get(d, 0))
-            flat.append(0)
-            flat = flat[::-1]  # put the genuine zero end first
+        flat = [0]
+        for i in range(lo, hi + 1):
+            flat.extend(X.get(i, {}).get(d, 0) for X in (quot, K, sub))
         ok = ok and _segments_telescope(flat)
     return ok
 
@@ -384,20 +369,17 @@ class ReductionReport:
                 "details": dict(self.details)}
 
 
-def verify_reduction(push: PushoutModule, N: GradedModule = None,
-                     hi: int = 6) -> ReductionReport:
+def verify_reduction(push: PushoutModule) -> ReductionReport:
     """Certify a pushout as a complexity reduction of its source module.
 
     Flags: cx drops by exactly one; depth of K equals depth of M; the
     short exact sequence is Hilbert-additive; and the Ext and Tor long
-    exact sequences against N telescope per internal degree.  Failures
-    are flags, never exceptions.
+    exact sequences against the residue field telescope per internal
+    degree on indices 0..6.  Failures are flags, never exceptions.
     """
-    from .harness import complexity_estimate, residue_field_of
-
     ring = push.module.ring
-    if N is None:
-        N = residue_field_of(ring)
+    N = residue_field_of(ring)
+    hi = 6
     cx_M = complexity_estimate(push.M).value
     cx_K = complexity_estimate(push.module).value
     flags = {}
@@ -410,33 +392,17 @@ def verify_reduction(push: PushoutModule, N: GradedModule = None,
     details.update({"depth_M": d_M, "depth_K": d_K})
     flags["depth_matches"] = (d_K == d_M)
     flags["hilbert_additive"] = push.check_exact()
-    cap = _common_cap([push.quot, push.module, push.sub], N, hi)
-    for kind, fn in (("Ext", ext), ("Tor", tor)):
-        cols = {}
-        for label, X in (("quot", push.quot), ("K", push.module),
-                         ("sub", push.sub)):
-            if X.is_zero:
-                cols[label] = {}
-            else:
-                cols[label] = fn(X, N, (0, hi), cap=cap, exact=False).dims
-        degrees = set()
-        for dd in cols.values():
-            for per in dd.values():
-                degrees.update(per)
-        if kind == "Ext":
-            A, B, C = cols["quot"], cols["K"], cols["sub"]
-        else:
-            A, B, C = cols["sub"], cols["K"], cols["quot"]
-        flags[f"les_telescopes_{kind.lower()}"] = _les_telescope(
-            kind, A, B, C, 0, hi, sorted(degrees)
+    terms = (push.quot, push.module, push.sub)
+    cap = max(_default_cap(X, N, hi) for X in terms if not X.is_zero)
+    for kind, fn in (("ext", ext), ("tor", tor)):
+        dims = [{} if X.is_zero else fn(X, N, (0, hi), cap=cap,
+                                        exact=False).dims
+                for X in terms]
+        degrees = {d for dd in dims for per in dd.values() for d in per}
+        flags[f"les_telescopes_{kind}"] = _les_telescope(
+            *dims, 0, hi, sorted(degrees)
         )
     return ReductionReport(flags=flags, details=details)
-
-
-def _common_cap(modules, N, hi):
-    from .homology import _default_cap
-
-    return max(_default_cap(M, N, hi) for M in modules if not M.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +427,16 @@ class ReductionChain:
         }
 
 
-def reduction_chain(M: GradedModule, seed=0, retries=8, bound=12,
-                    max_steps=None) -> ReductionChain:
+def reduction_chain(M: GradedModule, seed=0, retries=8,
+                    bound=12) -> ReductionChain:
     """Drive the complexity of M down to 0 by successive K_eta pushouts.
 
     Coefficients of eta are drawn at random (seeded); each step is
     accepted only when verify_reduction certifies it, and after
     `retries` failed draws RetriesExhaustedError reports the rejects.
+    `bound` is the resolution length of the complexity estimates; eta is
+    built only to level 2, the one k_eta reads for t = 1.
     """
-    from .harness import complexity_estimate
-
     ring = M.ring
     rng = random.Random(f"chain|{seed}")
     gens = ring.ci_generators
@@ -481,8 +447,6 @@ def reduction_chain(M: GradedModule, seed=0, retries=8, bound=12,
         cx = complexity_estimate(current, bound=bound).value
         if cx == 0:
             break
-        if max_steps is not None and len(steps) >= max_steps:
-            break
         target_deg = min(d for d in degs)
         failed = []
         done = False
@@ -491,7 +455,7 @@ def reduction_chain(M: GradedModule, seed=0, retries=8, bound=12,
                 rng.randrange(1, ring.p) if d == target_deg else 0
                 for d in degs
             ]
-            em = eta(current, coeffs, bound)
+            em = eta(current, coeffs, 2)
             push = k_eta(current, em)
             report = verify_reduction(push)
             if report.ok:
@@ -529,55 +493,39 @@ class PeriodicityReport:
 
 
 def periodicity_isomorphism_check(M: GradedModule, window_start: int,
-                                  bound: int, eta_map=None,
-                                  seed=0) -> PeriodicityReport:
+                                  bound: int) -> PeriodicityReport:
     """Eventual 2-periodicity of the resolution of a complexity-1 module,
     witnessed by eta, on levels window_start .. bound.
 
     For levels i >= window_start the twists of F_{i+2} must equal those
     of F_i shifted by D, and the scalar part of eta: F_{i+2} -> F_i must
     be an invertible square matrix (so eta realizes the periodicity
-    isomorphism on the nose).  When no eta is supplied a generic one is
-    drawn deterministically from the seed.
+    isomorphism on the nose).  eta is generic: its coefficients on the
+    lowest-degree ci generators are drawn from a fixed seed.
     """
-    from .harness import complexity_estimate
-
     ring = M.ring
     res = minimal_resolution(M, bound)
-    start = window_start
     cx = complexity_estimate(M).value
     if cx != 1:
         raise ValueError(f"periodicity check needs complexity 1, got {cx}")
-    if eta_map is None:
-        rng = random.Random(f"periodicity|{seed}")
-        degs = [pdeg(f, ring.weights) for f in ring.ci_generators]
-        target = min(degs)
-        coeffs = [rng.randrange(1, ring.p) if d == target else 0
-                  for d in degs]
-        eta_map = eta(M, coeffs, bound)
+    rng = random.Random("periodicity|0")
+    degs = [pdeg(f, ring.weights) for f in ring.ci_generators]
+    target = min(degs)
+    coeffs = [rng.randrange(1, ring.p) if d == target else 0 for d in degs]
+    eta_map = eta(M, coeffs, bound)
     D = eta_map.degree
     checked = []
     ok = True
     zero = (0,) * ring.nvars
-    for i in range(start, bound - 1):
+    for i in range(window_start, bound - 1):
         tw_i = res.twist_list(i)
         tw_n = res.twist_list(i + 2)
         level_ok = sorted(tw_n) == sorted(t + D for t in tw_i)
         if level_ok and tw_i:
-            rows = []
-            for a in range(len(tw_n)):
-                col = eta_map.cols.get(i + 2, [None] * len(tw_n))[a]
-                if col is None:
-                    level_ok = False
-                    break
-                rows.append({pos: c for (pos, m), c in col.items()
-                             if m == zero})
-            if level_ok:
-                level_ok = (
-                    len(tw_i) == len(tw_n)
-                    and linalg.rank_mod(rows, ring.p) == len(tw_i)
-                )
+            rows = [{pos: c for (pos, m), c in col.items() if m == zero}
+                    for col in eta_map.cols[i + 2]]
+            level_ok = linalg.rank_mod(rows, ring.p) == len(tw_i)
         checked.append((i, bool(level_ok)))
         ok = ok and level_ok
-    return PeriodicityReport(ok=bool(ok), start=start, period_degree=D,
+    return PeriodicityReport(ok=bool(ok), start=window_start, period_degree=D,
                              checked=checked)

@@ -51,6 +51,7 @@ from .resolution import (
     depth,
     minimal_resolution,
     module_from_json,
+    syzygy,
 )
 from .ring import parse_ring
 
@@ -94,8 +95,6 @@ def parse_module(spec: str, ring) -> GradedModule:
         return random_module(ring, int(rest))
     if head == "syzygy":
         n_text, _, inner = rest.partition(":")
-        from .resolution import syzygy
-
         return syzygy(parse_module(inner, ring), int(n_text))
     raise ValueError(f"unrecognized module spec {spec!r}")
 
@@ -197,7 +196,9 @@ def cmd_keta(args):
     ring = _ring_of(args)
     M = parse_module(args.module, ring)
     coeffs = [int(c) for c in args.coeffs.split(",")]
-    e = eta(M, coeffs, args.bound)
+    if args.t < 1:
+        raise ValueError("power must be >= 1")
+    e = eta(M, coeffs, 2 * args.t)
     power = eta_power(e, args.t)
     push = k_eta(M, power)
     exact = push.check_exact()
@@ -344,7 +345,6 @@ def build_parser():
     p.add_argument("--coeffs", required=True,
                    help="comma-separated coefficients of eta")
     p.add_argument("--t", type=int, default=1, help="power of eta")
-    p.add_argument("--bound", type=int, default=DEFAULT_CX_BOUND)
 
     p = add("reduce-chain", cmd_reduce_chain,
             help="certified complexity-reduction chain")

@@ -223,8 +223,7 @@ def _reduce(el, items, by_pos, p, weights, wit=None, skip=None):
 
 
 class _GBState:
-    def __init__(self, ring, rank, twists, track=False,
-                 degree_cap=DEFAULT_DEGREE_CAP, pair_cap=DEFAULT_PAIR_CAP):
+    def __init__(self, ring, rank, twists, track, degree_cap, pair_cap):
         self.p = ring.p
         self.weights = ring.weights
         self.rank = rank
@@ -385,8 +384,7 @@ def _build_state(gens, ring, rank, twists, track, degree_cap, pair_cap):
     full = list(gens)
     if ring.codim > 0:
         full.extend(quotient_relation_gens(ring, rank))
-    state = _GBState(ring, rank, twists, track=track,
-                     degree_cap=degree_cap, pair_cap=pair_cap)
+    state = _GBState(ring, rank, twists, track, degree_cap, pair_cap)
     zero = (0,) * ring.nvars
     for idx, g in enumerate(full):
         wit = {(idx, zero): 1} if track else None
@@ -395,12 +393,10 @@ def _build_state(gens, ring, rank, twists, track, degree_cap, pair_cap):
     return state, full
 
 
-def groebner(gens, ring, rank, twists,
-             degree_cap=DEFAULT_DEGREE_CAP,
-             pair_cap=DEFAULT_PAIR_CAP) -> ModuleGroebnerBasis:
+def groebner(gens, ring, rank, twists) -> ModuleGroebnerBasis:
     """Groebner basis of the submodule generated by gens over the quotient."""
-    state, _ = _build_state(gens, ring, rank, twists, track=False,
-                            degree_cap=degree_cap, pair_cap=pair_cap)
+    state, _ = _build_state(gens, ring, rank, twists, False,
+                            DEFAULT_DEGREE_CAP, DEFAULT_PAIR_CAP)
     state.finalize()
     return ModuleGroebnerBasis(
         ring=ring,
@@ -417,17 +413,15 @@ def normal_form(el, gb: ModuleGroebnerBasis):
     return _reduce(el, gb._items, gb._by_pos, ring.p, ring.weights)[0]
 
 
-def syzygies(gens, ring, rank, twists,
-             degree_cap=DEFAULT_DEGREE_CAP,
-             pair_cap=DEFAULT_PAIR_CAP):
+def syzygies(gens, ring, rank, twists):
     """Generators of the syzygy module of gens over the quotient ring.
 
     Returned elements live in the free module with one generator per
     input element (twist = degree of that element); components are reduced
     modulo the quotient ideal.
     """
-    state, full = _build_state(gens, ring, rank, twists, track=True,
-                               degree_cap=degree_cap, pair_cap=pair_cap)
+    state, full = _build_state(gens, ring, rank, twists, True,
+                               DEFAULT_DEGREE_CAP, DEFAULT_PAIR_CAP)
     state.finalize()
     raw = list(state.syzygies)
     # the identity-minus-division syzygies of the inputs
@@ -457,9 +451,7 @@ def syzygies(gens, ring, rank, twists,
     return out
 
 
-def kernel_of_map(cols, ring, source_twists, target_twists,
-                  degree_cap=DEFAULT_DEGREE_CAP,
-                  pair_cap=DEFAULT_PAIR_CAP):
+def kernel_of_map(cols, ring, source_twists, target_twists):
     """Generators of the kernel of the free-module map with the given columns.
 
     Column j is the image of source generator j, as an element of the
@@ -473,14 +465,10 @@ def kernel_of_map(cols, ring, source_twists, target_twists,
             raise InhomogeneousError(
                 f"column {j} has degree {d}, source twist {source_twists[j]}"
             )
-    syz = syzygies(cols, ring, len(target_twists), target_twists,
-                   degree_cap=degree_cap, pair_cap=pair_cap)
-    return syz
+    return syzygies(cols, ring, len(target_twists), target_twists)
 
 
-def minimal_generators(gens, ring, rank, twists,
-                       degree_cap=DEFAULT_DEGREE_CAP,
-                       pair_cap=DEFAULT_PAIR_CAP):
+def minimal_generators(gens, ring, rank, twists):
     """Deterministic minimal generating subset of a graded submodule.
 
     Generators are processed in degree order; an element is kept iff its
@@ -493,8 +481,8 @@ def minimal_generators(gens, ring, rank, twists,
         (g for g in gens if g),
         key=lambda g: (edeg(g, twists, weights), elem_sort_key(g)),
     )
-    state = _GBState(ring, rank, tuple(twists), track=False,
-                     degree_cap=degree_cap, pair_cap=pair_cap)
+    state = _GBState(ring, rank, tuple(twists), False,
+                     DEFAULT_DEGREE_CAP, DEFAULT_PAIR_CAP)
     if ring.codim > 0:
         for q in quotient_relation_gens(ring, rank):
             state.add(q)

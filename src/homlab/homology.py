@@ -52,8 +52,6 @@ class _CoveredComplex:
         self.N = N
         self.sign, self.step = (1, -1) if kind == "Tor" else (-1, 1)
         self.res = minimal_resolution(M, top + 1)
-        self._spaces = {}
-        self._maps = {}
         self._entries = {}
         self._ranks = {}   # (src index, tgt index, degree) -> rank
 
@@ -71,15 +69,13 @@ class _CoveredComplex:
 
     def space(self, i):
         """(cover twists, relations of N repeated in every slot)."""
-        if i not in self._spaces:
-            g = len(self.N.twists)
-            rels = [
-                {(a * g + b, m): c for (b, m), c in col.items()}
-                for a in range(len(self.res.twist_list(i)))
-                for col in self.N.relations
-            ]
-            self._spaces[i] = (self.cover(i), rels)
-        return self._spaces[i]
+        g = len(self.N.twists)
+        rels = [
+            {(a * g + b, m): c for (b, m), c in col.items()}
+            for a in range(len(self.res.twist_list(i)))
+            for col in self.N.relations
+        ]
+        return self.cover(i), rels
 
     def entries(self, j):
         """(source slot, target slot, polynomial) of the map built on d_j."""
@@ -94,17 +90,15 @@ class _CoveredComplex:
         """Cover columns of the map built on d_j (None for j <= 0)."""
         if j <= 0:
             return None
-        if j not in self._maps:
-            g = len(self.N.twists)
-            src = j if self.step < 0 else j - 1
-            cols = [{} for _ in range(len(self.res.twist_list(src)) * g)]
-            for a, a_t, poly in self.entries(j):
-                for b in range(g):
-                    col = cols[a * g + b]
-                    for m, c in poly.items():
-                        col[(a_t * g + b, m)] = c
-            self._maps[j] = cols
-        return self._maps[j]
+        g = len(self.N.twists)
+        src = j if self.step < 0 else j - 1
+        cols = [{} for _ in range(len(self.res.twist_list(src)) * g)]
+        for a, a_t, poly in self.entries(j):
+            for b in range(g):
+                col = cols[a * g + b]
+                for m, c in poly.items():
+                    col[(a_t * g + b, m)] = c
+        return cols
 
     def _map_at(self, i, tgt):
         if min(i, tgt) < 0:

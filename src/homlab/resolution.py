@@ -214,7 +214,10 @@ class GradedModule:
 
 
 def module_from_json(ring, data, name=None):
-    twists = data["twists"]
+    try:
+        twists = data["twists"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("JSON module spec needs 'twists'") from exc
     cols = []
     for col in data.get("relations", []):
         el = {}

@@ -1,5 +1,7 @@
 """Cohomology operators, pushouts, reduction chains, periodicity."""
 
+import dataclasses
+
 import pytest
 
 from homlab import (
@@ -53,6 +55,18 @@ def test_eisenbud_operators_certify():
             assert op.verify()
 
 
+def test_verify_rejects_perturbed_operator():
+    """The chain-map certificate can say no: one column off breaks d T = T d."""
+    ops = eisenbud_operators(GradedModule.residue_field(SQ), 4)
+    assert ops[0].verify()
+    zero = (0,) * SQ.nvars
+    cols = dict(ops[0].cols)
+    cols[3] = [dict(cols[3][0])] + cols[3][1:]
+    cols[3][0][(0, zero)] = (cols[3][0].get((0, zero), 0) + 1) % SQ.p
+    bad = dataclasses.replace(ops[0], cols=cols)
+    assert not bad.verify()
+
+
 def test_eta_requires_matching_degrees():
     ring = parse_ring("p=32003; vars x,y; ci: x^2, y^3")
     M = GradedModule.residue_field(ring)
@@ -99,6 +113,19 @@ def test_verify_reduction_flags_spec_pair():
         "les_telescopes_tor": True,
     }
     assert rep.ok
+
+
+def test_misshifted_pushout_fails_certificates():
+    """A sub term twisted one degree too far breaks additivity and the LES."""
+    M = GradedModule.residue_field(SQ)
+    push = k_eta(M, eta_power(eta(M, [1, 1], 2), 1))
+    bad = dataclasses.replace(
+        push, sub=M.twisted(push.t * push.degree + 1)
+    )
+    assert not bad.check_exact()
+    flags = verify_reduction(bad).flags
+    assert not flags["hilbert_additive"]
+    assert not (flags["les_telescopes_ext"] and flags["les_telescopes_tor"])
 
 
 def test_reduction_chain_hypersurface_one_step():

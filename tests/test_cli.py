@@ -36,6 +36,17 @@ def test_parse_module_specs(tmp_path):
     assert parse_module(f"@{path}", ring).twists == cyc.twists
 
 
+@pytest.mark.parametrize("data", [{"relations": []}, [[0], ["x"]]],
+                         ids=["no-twists", "json-list"])
+def test_malformed_module_json_exit_one(data, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["betti", "--ring", XY, "--module", f"@{path}"],
+                       capsys)
+    assert code == 1
+    assert "twists" in err and "Traceback" not in err
+
+
 def test_example_paper_exit_clean(capsys):
     code, out, _ = run(["example-paper"], capsys)
     assert code == 0
@@ -70,6 +81,31 @@ def test_check_verified_exit_zero(capsys):
     )
     assert code == 0
     assert "verified" in out
+
+
+def test_check_cond_json(capsys):
+    # A/(x) is maximal Cohen-Macaulay over the Gorenstein ring A, so
+    # Ext^i(A/(x), A) vanishes for i >= 1 and the condition is met
+    code, out, _ = run(
+        ["--json", "check", "cond", "--ring", XY, "--module", "cyclic:x",
+         "--against", "ring", "--n", "1", "--gaps", "1"],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["theorem"] == "COND" and data["status"] == "verified"
+    assert data["inputs"]["indices"] == [1, 2]
+
+
+def test_depth_cli(capsys):
+    code, out, _ = run(["depth", "--ring", XY, "--module", "k"], capsys)
+    assert code == 0
+    assert out.strip() == "depth k = 0"
+    code, out, _ = run(
+        ["--json", "depth", "--ring", XY, "--module", "cyclic:x"], capsys
+    )
+    assert code == 0
+    assert json.loads(out) == {"module": "cyclic:x", "depth": 1}
 
 
 def test_even_gap_is_usage_error(capsys):
@@ -132,7 +168,8 @@ def test_reduce_chain_cli(capsys):
 # sha256 of the --json stdout.  The chain and syzygy digests were recorded
 # before twisted and syzygy modules started from the resolution they are
 # read off; the betti, tor, ext, cx and example-paper digests (outputs fed
-# by graded-piece ranks) before elimination became sparse.
+# by graded-piece ranks) before elimination became sparse; the keta digests
+# while eta was still built to level 12 for every power.
 GOLDEN = [
     pytest.param(
         ["reduce-chain", "--ring", SQ, "--module", "random:3"],
@@ -185,6 +222,15 @@ GOLDEN = [
         "7af62eda352a4dd4e402810a4b8005a099e607a19ac8e4826ad3e6a40ce8382e",
         id="cx-xy"),
     pytest.param(
+        ["keta", "--ring", SQ, "--module", "random:3", "--coeffs", "1,2"],
+        "c830ae1a37a3e19f75fb8fde3179e88fa8a9cd130e576baeb26394374c90ef9d",
+        id="keta-sq-t1"),
+    pytest.param(
+        ["keta", "--ring", SQ, "--module", "random:3", "--coeffs", "1,2",
+         "--t", "2"],
+        "987a57122f8fb78741347f402b759282e45364bec8457be5b1d857d42de606b4",
+        id="keta-sq-t2"),
+    pytest.param(
         ["example-paper"],
         "72ab7aeaaefe705dde6c8939c9a27d7f629c612e846215ed03789c95b598800f",
         id="example-paper"),
@@ -204,6 +250,16 @@ def test_keta_cli(capsys):
     )
     assert code == 0
     assert "hilbert additive: True" in out
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_keta_nonpositive_power_exit_one(t, capsys):
+    code, _, err = run(
+        ["keta", "--ring", SQ, "--module", "k", "--coeffs", "1,1", "--t", t],
+        capsys,
+    )
+    assert code == 1
+    assert "power must be >= 1" in err
 
 
 def test_corpus_cli_json(capsys):

@@ -1,5 +1,6 @@
 """Groebner engine: normal forms, membership, syzygies, kernels."""
 
+import importlib
 import random
 
 import pytest
@@ -23,6 +24,9 @@ XY = parse_ring("p=32003; vars x,y; ci: x*y")
 SQ = parse_ring("p=32003; vars x,y; ci: x^2, y^2")
 Z3 = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2")
 CUBE = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2, z^2")
+
+# the module itself: the package attribute `groebner` is the function
+groebner_mod = importlib.import_module("homlab.groebner")
 
 
 def _random_elem(ring, rng, twists, deg):
@@ -237,8 +241,17 @@ def test_random_module_bases_are_groebner(ring):
             assert (not nf) == oracle.membership(ring, twists, gens, el), seed
 
 
-def test_degree_cap_raises_resource_error():
+def test_degree_cap_raises_resource_error(monkeypatch):
     M = random_module(Z3, 2)
-    with pytest.raises(ResourceCapError):
-        groebner(list(M.relations), Z3, len(M.twists), M.twists,
-                 degree_cap=1)
+    monkeypatch.setattr(groebner_mod, "DEFAULT_DEGREE_CAP", 1)
+    with pytest.raises(ResourceCapError) as err:
+        groebner(list(M.relations), Z3, len(M.twists), M.twists)
+    assert err.value.cap_name == "degree_cap"
+
+
+def test_pair_cap_raises_resource_error(monkeypatch):
+    M = random_module(Z3, 2)
+    monkeypatch.setattr(groebner_mod, "DEFAULT_PAIR_CAP", 1)
+    with pytest.raises(ResourceCapError) as err:
+        syzygies(list(M.relations), Z3, len(M.twists), M.twists)
+    assert err.value.cap_name == "pair_cap" and err.value.cap_value == 1
