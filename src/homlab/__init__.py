@@ -70,7 +70,6 @@ from .homology import (
     HomologyReport,
     ext,
     finite_length_test,
-    socle_dimension,
     tor,
     tor_symmetry_check,
 )
@@ -89,7 +88,6 @@ from .resolution import (
 from .ring import (
     PrimeField,
     QuotientRing,
-    check_complete_intersection,
     parse_ring,
     render_ring,
     ring_from_json,

@@ -31,7 +31,9 @@ class NotRegularSequenceError(HomlabError):
 
 
 class ResourceCapError(HomlabError):
-    """A degree or pair-count cap was hit during a Groebner computation."""
+    """A resource cap was hit: the S-pair degree or pair-count cap of a
+    Groebner computation, or the cell cap of one degree's matrix in a
+    linear-algebra resolution step (``cap_name`` says which)."""
 
     def __init__(self, message, cap_name, cap_value):
         super().__init__(message)

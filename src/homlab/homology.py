@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .groebner import edeg, elead, groebner, syzygies
-from .resolution import GradedModule, minimal_resolution
+from .resolution import GradedModule, depth, minimal_resolution
 
 DEFAULT_CAP_PAD = 5
 
@@ -259,15 +259,18 @@ def _homology(kind, M, N, rng, cap, exact, dims):
         range=(lo, hi),
         cap=_default_cap(M, N, hi) if cap is None else cap,
     )
-    # free partner: the groups above index 0 vanish without the complex
-    free = (not N.relations and N.twists and not M.is_zero
-            and (kind == "Tor" or socle_dimension(M.ring) == 1))
+    # free partner: the groups above `zero_above` vanish without the complex;
+    # Tor by flatness, Ext by graded local duality over the Gorenstein
+    # ring (Bruns-Herzog 3.5.11): Ext^i(M, A) = 0 for i > dim A - depth M
+    zero_above = hi
+    if not N.relations and N.twists and not M.is_zero:
+        zero_above = 0 if kind == "Tor" else M.ring.krull_dim - depth(M)
     verdicts = M._verdicts.setdefault((kind, N.key()), {}) if exact else {}
     built = [i for i in range(lo, hi + 1)
-             if (dims or i not in verdicts) and not (free and i > 0)]
+             if (dims or i not in verdicts) and i <= zero_above]
     cx = _CoveredComplex(M, N, max(built), kind) if built else None
     for i in range(lo, hi + 1):
-        if free and i > 0:
+        if i > zero_above:
             if exact:
                 report.is_zero[i] = True
             if dims:
@@ -298,39 +301,13 @@ def tor(M: GradedModule, N: GradedModule, rng, cap=None,
     return _homology("Tor", M, N, rng, cap, exact, dims)
 
 
-def socle_dimension(ring):
-    """k-dimension of the socle of an artinian quotient ring (None if dim > 0).
-
-    The socle in each degree is the simultaneous kernel of multiplication
-    by every variable, computed by exact rank counts over the prime field.
-    A one-dimensional socle certifies that the ring is self-injective.
-    """
-    top = ring.top_degree()
-    if top is None:
-        return None
-    if ring._socle_dim is None:
-        # the variables' maps side by side: target slot v is R(w_v), so
-        # its columns are the coordinates of the product with x_v
-        entries = [(0, v, {tuple(int(j == v) for j in range(ring.nvars)): 1})
-                   for v in range(ring.nvars)]
-        shifts = [-w for w in ring.weights]
-        total = 0
-        for d in range(top + 1):
-            rows, _ = linalg.block_rows(linalg.ring_pieces(ring), entries,
-                                        (0,), shifts, d)
-            if rows:
-                total += len(rows) - linalg.rank_mod(rows, ring.p)
-        ring._socle_dim = total
-    return ring._socle_dim
-
-
 def ext(M: GradedModule, N: GradedModule, rng, cap=None,
         exact=True, dims=True) -> HomologyReport:
     """Ext^i(M, N) for i in rng = (lo, hi).
 
-    When N is free and the ring is artinian with one-dimensional socle,
-    the ring is self-injective, so every higher Ext group vanishes; only
-    Hom(M, N) needs the complex.
+    When N is free, Ext^i(M, N) vanishes for i > dim A - depth M by
+    graded local duality (a complete intersection is Gorenstein), so
+    only the indices up to that bound need the complex.
     """
     return _homology("Ext", M, N, rng, cap, exact, dims)
 

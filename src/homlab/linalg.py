@@ -8,9 +8,10 @@ of N_e, and a cover vector is projected onto that basis by eliminating
 its pivot coordinates.  Multiplication by a monomial is then a small
 sparse matrix N_e -> N_{e + deg m}, cached, and every map between sums
 of shifted copies of N is assembled from these by ``block_rows``, with
-no relation rows.  Over an artinian ring, ``minimal_kernel`` computes a
+no relation rows.  Over a quotient ring, ``minimal_kernel`` computes a
 step of a minimal free resolution the same way over the ring's own
-pieces (``ring_pieces``), one elimination per degree of a finite window.
+pieces (``ring_pieces``), one elimination per degree of a finite window
+that its caller bounds.
 
 Everything is sparse: a row is a ``{column: value}`` dict of Python
 ints, one reducer touches only nonzero entries and serves rank, reduced
@@ -229,20 +230,21 @@ def block_rows(pieces, entries, src_shifts, tgt_shifts, d):
     return rows, coff[-1]
 
 
-def minimal_kernel(cols, ring, src_twists, tgt_twists):
-    """Minimal generators of the kernel of a map of free modules over an
-    artinian quotient ring, by linear algebra on graded pieces.
+def minimal_kernel(cols, ring, src_twists, tgt_twists, top):
+    """Minimal generators of degree at most top of the kernel of a map of
+    free modules over a quotient ring, by linear algebra on graded pieces.
 
     Column j is the image of source generator j, of degree src_twists[j].
-    The kernel lives where the source does, in degrees min twist ..
-    max twist + top degree.  Per degree e, ascending: U_e, the part of
-    ker_e generated from below, is spanned by x_v * ker_{e - deg x_v}
-    over the variables x_v and kept in echelon form.  Reducing by U_e
-    clears its pivot coordinates, so ker_e is U_e plus the kernel of the
-    piece map on the other source coordinates; that kernel, read off
-    the rows of [image | identity] whose image part eliminates to zero,
-    is the set of new generators of degree e, each scaled to 1 at its
-    pivot.  The piece map and the maps x_v are block rows over
+    The kernel lives where the source does, so its generators lie in
+    degrees min twist .. top once the caller's top bounds them (every
+    graded piece there is finite).  Per degree e, ascending: U_e, the
+    part of ker_e generated from below, is spanned by x_v * ker_{e -
+    deg x_v} over the variables x_v and kept in echelon form.  Reducing
+    by U_e clears its pivot coordinates, so ker_e is U_e plus the kernel
+    of the piece map on the other source coordinates; that kernel, read
+    off the rows of [image | identity] whose image part eliminates to
+    zero, is the set of new generators of degree e, each scaled to 1 at
+    its pivot.  The piece map and the maps x_v are block rows over
     ``ring_pieces``, in ``free_basis`` coordinates.  Returns the new
     generators as module elements in ascending degree.  Raises
     ResourceCapError when one degree's [image | identity] matrix has
@@ -257,7 +259,7 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists):
              for v in range(ring.nvars)]
     kernels = {}   # e -> basis of ker_e, as rows over free_basis(e)
     gens = []
-    for e in range(min(src_twists), max(src_twists) + ring.top_degree() + 1):
+    for e in range(min(src_twists), top + 1):
         images, nt = block_rows(pieces, entries, src_twists, tgt_twists, e)
         ns = len(images)
         if ns * (nt + ns) > CELL_CAP:

@@ -5,11 +5,14 @@ generator twists plus homogeneous relation columns.  Presentations are
 minimalized on construction (scalar entries spliced away, redundant
 relations dropped), and each resolution step takes minimal generators
 of the kernel of the last differential, so the resolution is minimal
-step by step.  Over an artinian ring a step is graded linear algebra
-(``linalg.minimal_kernel``, capped by ``linalg.CELL_CAP``); over
-positive-dimensional and ambient rings it is Buchberger's syzygies
-followed by ``minimal_generators``, and only this route is bound by the
-S-pair degree and pair caps.
+step by step.  Over a quotient ring every step past the presentation is
+graded linear algebra (``linalg.minimal_kernel``, capped by
+``linalg.CELL_CAP``) in a finite degree window: up to max twist plus
+the ring's top degree on artinian rings, up to the Eisenbud-Shamash
+bound otherwise.  Over the ambient polynomial ring, which has no such
+window, a step is Buchberger's syzygies followed by
+``minimal_generators``; the S-pair degree and pair caps bind that
+route, step 0 and kernel generators.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ class GradedModule:
         self.name = name
         self._key = None  # memo of key()
         self._res = None
-        self._ambient_res = None
         # (kind, N.key()) -> {index: exact zero verdict};
         # read by homology._homology
         self._verdicts = {}
@@ -157,11 +159,9 @@ class GradedModule:
         """Same module with all generator degrees shifted up by s.
 
         If this module is resolved, the twist's resolution starts as a
-        copy of it shifted by s; a uniform shift changes no step of
-        either route, so the copy equals a from-scratch run.  The copied
-        steps are not rerun, so on the Buchberger route the S-pair
-        degree cap held in this module's degrees: a twist can succeed
-        where a from-scratch run would hit the cap.
+        copy of it shifted by s.  Over a quotient ring a uniform shift
+        changes no step (the degree window shifts with it), so the copy
+        equals a from-scratch run.
         """
         T = GradedModule(
             self.ring,
@@ -240,11 +240,11 @@ class FreeResolution:
     twists[n] lists the generator degrees of F_n; diffs[n] holds the
     columns of d_{n+1}: F_{n+1} -> F_n.  Once some F_n is zero the
     resolution is complete and extends by zero steps for free.  Step 0
-    is `minimal_generators` of the module's relations; every later step
-    is `linalg.minimal_kernel` over an artinian ring (ring.top_degree()
-    is not None) and `kernel_of_map` plus `minimal_generators`
-    otherwise.  Either way the new columns are sorted by (degree,
-    elem_sort_key).
+    is `minimal_generators` of the module's relations.  Over a quotient
+    ring every later step is `linalg.minimal_kernel` up to the degree
+    `_top` allows; over the ambient polynomial ring it is
+    `kernel_of_map` plus `minimal_generators`.  Either way the new
+    columns are sorted by (degree, elem_sort_key).
 
     With `source`, the resolution starts from the steps `start`,
     `start + 1`, ... already computed in `source`, every twist shifted
@@ -252,14 +252,18 @@ class FreeResolution:
     `source` (shifted) by d_{start+1}.  The differential columns are
     shared, not copied (no one mutates them), and `extend` goes on
     from the last copied step.
+
+    The resolution over the ambient ring of the presentation it starts
+    from (`ambient`) is computed on first need and kept here.
     """
 
     def __init__(self, module: GradedModule, source=None, start=0, shift=0):
         # The module's relations, not the module: the module owns its
         # resolution, and a back reference would make the pair a cycle.
-        # extend() reads them only when no step was copied.
+        # extend() and ambient() read them with twists[0].
         self.ring = module.ring
         self.relations = module.relations
+        self._ambient = None
         if source is None:
             self.twists = [tuple(module.twists)]
             self.diffs = []
@@ -282,6 +286,8 @@ class FreeResolution:
         return len(self.twists[n])
 
     def twist_list(self, n):
+        if n < 0:
+            raise IndexError("resolution steps start at F_0")
         if n >= len(self.twists) and self._finished():
             return ()
         return self.twists[n]
@@ -299,6 +305,34 @@ class FreeResolution:
             len(self.twists) == 1 and not self.twists[0]
         )
 
+    def ambient(self):
+        """The complete minimal resolution over the ambient ring Q of
+        coker(d_1) on F_0, computed once."""
+        if self._ambient is None:
+            start = GradedModule(self.ring, self.twists[0], self.relations,
+                                 _minimal=True)
+            self._ambient = minimal_resolution(ambient_restriction(start),
+                                               self.ring.nvars + 1)
+        return self._ambient
+
+    def _top(self, n):
+        """Largest degree a minimal generator of F_{n+1} can have.
+
+        Over an artinian ring ker d_n lives in degrees up to max twist
+        F_n + top degree.  Otherwise, by Shamash (1969) and Eisenbud
+        (1980, section 7), the module has an A-free resolution with
+        F_i = sum_j D_j (x) F^Q_{i-2j}, where F^Q = ``ambient()`` and
+        the divided powers D_j have generators of degree at most
+        j * max deg f; the minimal resolution is a graded summand of it.
+        """
+        top = self.ring.top_degree()
+        if top is not None:
+            return max(self.twists[n]) + top
+        amb = self.ambient()
+        fmax = max(pdeg(f, self.ring.weights) for f in self.ring.ci_generators)
+        return max(max(amb.twist_list(m)) + (n + 1 - m) // 2 * fmax
+                   for m in range(n + 1, -1, -2) if amb.twist_list(m))
+
     def extend(self, bound):
         """Compute twists and differentials up to homological degree bound."""
         while self.computed_to < bound:
@@ -312,18 +346,18 @@ class FreeResolution:
             if n == 0:
                 mins = minimal_generators(list(self.relations), self.ring,
                                           len(src_twists), src_twists)
-            elif self.ring.top_degree() is not None:
-                mins = linalg.minimal_kernel(
-                    self.diffs[n - 1], self.ring,
-                    src_twists, self.twists[n - 1],
-                )
-            else:
+            elif self.ring.is_ambient:
                 kern = kernel_of_map(
                     self.diffs[n - 1], self.ring,
                     src_twists, self.twists[n - 1],
                 )
                 mins = minimal_generators(kern, self.ring, len(src_twists),
                                           src_twists)
+            else:
+                mins = linalg.minimal_kernel(
+                    self.diffs[n - 1], self.ring,
+                    src_twists, self.twists[n - 1], self._top(n),
+                )
             mins.sort(key=lambda c: (edeg(c, src_twists, self.ring.weights),
                                      elem_sort_key(c)))
             self.twists.append(tuple(
@@ -340,13 +374,10 @@ class FreeResolution:
 def minimal_resolution(module: GradedModule, bound: int) -> FreeResolution:
     """Minimal free resolution of the module up to homological degree bound.
 
-    The resolution is kept on the module and extended on demand.  Over
-    an artinian ring the steps past the first are graded linear algebra,
-    otherwise Buchberger; the S-pair degree and pair caps bind only the
-    Buchberger steps.  A module made by `twisted` or `syzygy` of a
-    resolved module starts from steps copied out of that resolution;
-    they are never computed again, so the S-pair degree cap applies to
-    them in the source's degrees.
+    The resolution is kept on the module and extended on demand.  A
+    module made by `twisted` or `syzygy` of a resolved module starts
+    from steps copied out of that resolution; they are never computed
+    again.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -360,8 +391,7 @@ def syzygy(module: GradedModule, n: int) -> GradedModule:
 
     The columns of a minimal resolution are already a minimal
     presentation.  The syzygy's resolution starts as steps n, n+1, ...
-    of the module's, which are not rerun: on the Buchberger route the
-    S-pair degree cap held for them when the module was resolved.
+    of the module's, which are not rerun.
     """
     if n < 0:
         raise ValueError("syzygy index must be >= 0")
@@ -466,10 +496,7 @@ def pd_ambient(module: GradedModule) -> int:
     """Projective dimension over the ambient polynomial ring (finite)."""
     if module.is_zero:
         raise ZeroModuleError("zero module has no projective dimension here")
-    if module._ambient_res is None:
-        amb = ambient_restriction(module)
-        module._ambient_res = minimal_resolution(amb, module.ring.nvars + 1)
-    res = module._ambient_res
+    res = minimal_resolution(module, 0).ambient()
     pd = 0
     for n in range(res.computed_to + 1):
         if res.twist_list(n):

@@ -296,12 +296,11 @@ class QuotientRing:
     """Ambient graded polynomial ring modulo a complete-intersection ideal.
 
     ``ci_generators`` may be empty, in which case the ring is the ambient
-    polynomial ring itself.  Construction verifies (unless ``check=False``)
-    that the generators are homogeneous of positive degree and form a
-    regular sequence.
+    polynomial ring itself.  Construction verifies that the generators
+    are homogeneous of positive degree and form a regular sequence.
     """
 
-    def __init__(self, p, names, weights=None, ci_generators=(), check=True):
+    def __init__(self, p, names, weights=None, ci_generators=()):
         self.field = PrimeField(p)
         self.p = self.field.p
         self.names = tuple(names)
@@ -339,16 +338,9 @@ class QuotientRing:
         self._mono_cache = {}
         self._top_degree = -1
         self._residue_field = None  # filled by harness.residue_field_of
-        self._socle_dim = None  # filled by homology.socle_dimension
         self._pieces = None  # filled by linalg.ring_pieces
-        if check and self.codim > 0:
-            report = check_complete_intersection(self.ambient(), self.ci_generators)
-            if not report.ok:
-                raise NotRegularSequenceError(
-                    "generators are not a regular sequence "
-                    f"(Hilbert series deviates in degree {report.first_bad_degree})",
-                    degree=report.first_bad_degree,
-                )
+        if self.codim:
+            self._check_regular_sequence()
 
     # -- basics ------------------------------------------------------------
 
@@ -388,6 +380,26 @@ class QuotientRing:
 
     def render(self, poly):
         return render_poly(poly, self.names, self.p, self.weights)
+
+    def _check_regular_sequence(self):
+        """Compare the Hilbert series with HS(ambient) * prod(1 - t^deg f_j).
+
+        The comparison runs past the sum of the generator degrees, which
+        is where a failure of regularity first shows up.
+        """
+        degs = [pdeg(g, self.weights) for g in self.ci_generators]
+        bound = sum(degs) + max(self.weights) + 2
+        numer = [1] + [0] * bound  # coefficients of prod (1 - t^d_j)
+        for dj in degs:
+            for i in range(bound, dj - 1, -1):
+                numer[i] -= numer[i - dj]
+        for d in range(bound + 1):
+            expected = sum(c * len(self.monomials(d - i))
+                           for i, c in enumerate(numer[:d + 1]))
+            if self.hilbert(d) != expected:
+                raise NotRegularSequenceError(
+                    "generators are not a regular sequence "
+                    f"(Hilbert series deviates in degree {d})", degree=d)
 
     # -- ideal normal forms ------------------------------------------------
 
@@ -499,78 +511,6 @@ def _monomials_of_degree(weights, d):
     if d >= 0:
         rec(0, d, ())
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# ring-level operations
-
-
-def hilbert_series(ring: QuotientRing, truncation: int):
-    """Dimensions of the graded pieces of the ring, degrees 0..truncation."""
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    return [ring.hilbert(d) for d in range(truncation + 1)]
-
-
-class CIReport:
-    """Outcome of a regular-sequence verification."""
-
-    __slots__ = ("ok", "codim", "first_bad_degree")
-
-    def __init__(self, ok, codim, first_bad_degree=None):
-        self.ok = ok
-        self.codim = codim
-        self.first_bad_degree = first_bad_degree
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return f"CIReport(ok, codim={self.codim})"
-        return f"CIReport(failed at degree {self.first_bad_degree})"
-
-
-def check_complete_intersection(ambient: QuotientRing, gens):
-    """Compare the quotient's Hilbert series with the regular-sequence formula.
-
-    The quotient series must equal HS(ambient) * prod(1 - t^deg(f_j))
-    coefficientwise; the comparison runs past the sum of the generator
-    degrees, which is where a failure of regularity first shows up.
-    """
-    ambient = ambient.ambient()
-    parsed = []
-    for g in gens:
-        if isinstance(g, str):
-            g = parse_poly(g, ambient.names, ambient.p)
-        d = pdeg(g, ambient.weights)
-        if d is None or d <= 0:
-            raise RingParseError("generators must be homogeneous of positive degree")
-        parsed.append(g)
-    degs = [pdeg(g, ambient.weights) for g in parsed]
-    bound = sum(degs) + max(ambient.weights) + 2
-    quotient = QuotientRing(
-        ambient.p, ambient.names, ambient.weights, parsed, check=False
-    )
-    # numerator coefficients of prod (1 - t^d_j)
-    numer = [0] * (bound + 1)
-    numer[0] = 1
-    for d in degs:
-        nxt = list(numer)
-        for i in range(d, bound + 1):
-            nxt[i] -= numer[i - d]
-        numer = nxt
-    ambient_hs = hilbert_series(ambient, bound)
-    expected = []
-    for d in range(bound + 1):
-        expected.append(
-            sum(numer[i] * ambient_hs[d - i] for i in range(d + 1))
-        )
-    actual = hilbert_series(quotient, bound)
-    for d in range(bound + 1):
-        if actual[d] != expected[d]:
-            return CIReport(False, len(parsed), first_bad_degree=d)
-    return CIReport(True, len(parsed))
 
 
 # ---------------------------------------------------------------------------

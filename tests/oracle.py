@@ -223,6 +223,20 @@ def complex_homology_dim(ring, tw_prev, d_in_cols, tw_here, d_out_cols,
     return h
 
 
+def socle_dimension(ring):
+    """k-dimension of the socle of an artinian quotient ring.
+
+    In each degree the socle is the kernel of r -> (x_1 r, ..., x_n r),
+    so its dimension is dim R_d minus the rank of that map.
+    """
+    col = {(v, tuple(int(j == v) for j in range(ring.nvars))): 1
+           for v in range(ring.nvars)}
+    shifts = tuple(-w for w in ring.weights)
+    return sum(ring_piece_dim(ring, d)
+               - _quotient_map_rank(ring, (0,), [col], shifts, d)
+               for d in range(ring.top_degree() + 1))
+
+
 def presented_map_rank(ring, src, cols, tgt, d):
     """Rank of an induced map between presented graded pieces.
 

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+import oracle
 from homlab.cli import main, parse_module
 from homlab import linalg, parse_ring
+from homlab.groebner import edeg
 
 XY = "p=32003; vars x,y; ci: x*y"
 SQ = "p=32003; vars x,y; ci: x^2, y^2"
@@ -177,7 +179,7 @@ GOLDEN = [
         id="reduce-chain-sq"),
     pytest.param(
         ["reduce-chain", "--ring", XY, "--module", "random:3"],
-        "a7f5535318db0de2c5619e25ca8f2ca2abf0d95c826371a63e37e849c4e2d76a",
+        "2ade4393129ed104c7ca5607ebd743e98c60daf31f83c888f07ad347b8ced7f9",
         id="reduce-chain-xy"),
     pytest.param(
         ["resolve", "--ring", SQ, "--module", "syzygy:2:random:5",
@@ -235,6 +237,36 @@ GOLDEN = [
         "72ab7aeaaefe705dde6c8939c9a27d7f629c612e846215ed03789c95b598800f",
         id="example-paper"),
 ]
+
+
+# The final module of `reduce-chain --ring XY --module random:3` as the
+# command printed it while resolution steps over positive-dimensional
+# rings were Buchberger kernels; linear-algebra steps print its relation
+# columns in another basis.
+BUCHBERGER_FINAL_XY = {"twists": [2, 2],
+                       "relations": [["-2617*y", "13064*x + 8388*y"]]}
+
+
+def test_reduce_chain_xy_final_module_unchanged(capsys):
+    """The printed final module presents the same submodule as before:
+    equal ranks of its relation rows, the old ones and their union in
+    every degree through the largest relation degree (oracle rows)."""
+    code, out, _ = run(["--json", "reduce-chain", "--ring", XY,
+                        "--module", "random:3"], capsys)
+    assert code == 0
+    final = json.loads(out)["final"]
+    tw = final["twists"]
+    assert tw == BUCHBERGER_FINAL_XY["twists"]
+    ring = parse_ring(XY)
+    new, old = ([{(pos, m): c for pos, text in enumerate(col)
+                  for m, c in ring.parse(text).items()}
+                 for col in spec["relations"]]
+                for spec in (final, BUCHBERGER_FINAL_XY))
+    top = max(edeg(c, tuple(tw), ring.weights) for c in new + old)
+    for d in range(min(tw), top + 1):
+        ranks = {oracle.rank_mod(oracle.submodule_rows(ring, tw, gens, d)[2],
+                                 ring.p) for gens in (new, old, new + old)}
+        assert len(ranks) == 1, d
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN)

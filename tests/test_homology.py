@@ -13,7 +13,6 @@ from homlab import (
     ext,
     finite_length_test,
     parse_ring,
-    socle_dimension,
     tor,
     tor_symmetry_check,
 )
@@ -207,8 +206,9 @@ def test_library_runs_without_numpy():
 
 
 def test_free_partner_shortcuts_are_exact():
-    """Tor_i(M, free) = 0 and Ext^i(M, free) = 0 (Gorenstein artinian)
-    for i >= 1, and index 0 carries honest dimensions."""
+    """Tor_i(M, free) = 0 and Ext^i(M, free) = 0 (Gorenstein artinian,
+    dim A - depth M = 0) for i >= 1, and index 0 carries honest
+    dimensions."""
     A = GradedModule.free(SQ, [0], name="A")
     M = random_module(SQ, 6)
     t = tor(M, A, (0, 8))
@@ -264,13 +264,44 @@ def test_finite_length_memoized_on_module(ring, monkeypatch):
 
 
 def test_socle_dimension():
-    assert socle_dimension(SQ) == 1
-    assert socle_dimension(Z3) == 1
-    assert socle_dimension(XY) is None
-    assert socle_dimension(ORACLE_RINGS[4]) == 1   # x^2 - y^2, x*y
-    # non-Gorenstein check: socle of k[x,y]/(x^2, x*y, y^2)... not a CI;
-    # instead verify the k-dual count on the CI socle degree
-    assert SQ.hilbert(SQ.top_degree()) == 1
+    """Artinian complete intersections are Gorenstein: one-dimensional
+    socle, which sits in the top degree (oracle count)."""
+    for ring in (SQ, Z3, ORACLE_RINGS[4]):   # [4]: x^2 - y^2, x*y
+        assert oracle.socle_dimension(ring) == 1
+        assert ring.hilbert(ring.top_degree()) == 1
+
+
+def _ext_free_rule_vs_complex(ring, seeds, hi):
+    """(seed, index, rule verdict, complex verdict) for Ext(M, A)."""
+    A = GradedModule.free(ring, [0], name="A")
+    out = []
+    for seed in seeds:
+        M = random_module(ring, seed)
+        if M.is_zero:
+            continue
+        rep = ext(M, A, (0, hi), dims=False)
+        cx = _CoveredComplex(M, A, hi, "Ext")
+        out.extend((seed, i, rep.is_zero[i], homology._is_zero_at(cx, i))
+                   for i in range(hi + 1))
+    return out
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.key())
+def test_ext_free_partner_rule_matches_complex(ring):
+    """Ext^i(M, A) = 0 for i > dim A - depth M (graded local duality)
+    gives the verdicts the covered complex gives."""
+    hi = 4 if ring.nvars == 2 else 3
+    for seed, i, rule, cx in _ext_free_rule_vs_complex(ring, range(6), hi):
+        assert rule == cx, (seed, i)
+
+
+def test_ext_free_partner_rule_fails_with_wrong_depth(monkeypatch):
+    """With depth read one too high the rule calls a nonzero Ext^1(M, A)
+    zero over xy, so the differential test above can fail."""
+    real = homology.depth
+    monkeypatch.setattr(homology, "depth", lambda M: real(M) + 1)
+    assert any(i == 1 and rule != cx for _, i, rule, cx
+               in _ext_free_rule_vs_complex(XY, range(6), 2))
 
 
 def test_homology_range_validation():

@@ -21,6 +21,7 @@ from homlab import (
     module_from_json,
     parse_ring,
     pd_ambient,
+    periodicity_isomorphism_check,
     residue_field_of,
     syzygy,
     tor,
@@ -35,6 +36,10 @@ Z3 = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2, z^2")
 # artinian, but no monomial ideal: products leave the standard monomials
 NM = parse_ring("p=32003; vars x,y,z; ci: x^2-y*z, y^2-x*z, z^2")
 WT = parse_ring("p=32003; vars x:1,y:2; ci: x^4, y^2")
+# positive-dimensional: resolved in the Eisenbud-Shamash window
+XYZ = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2")
+WT3 = parse_ring("p=32003; vars x:1,y:2,z:1; ci: x^2, y^2")
+NM3 = parse_ring("p=32003; vars x,y,z; ci: x^2-y*z, x*y")
 
 
 def _compose(cols2, cols1, p):
@@ -76,10 +81,12 @@ def test_resolution_exact_and_minimal_by_oracle(ring, seed):
     assert exact and minimal
 
 
-@pytest.mark.parametrize("ring,top", [(SQ, 8), (WT, 8), (Z3, 6), (NM, 6)],
-                         ids=["sq", "weighted", "z3", "nm"])
+@pytest.mark.parametrize("ring,top", [
+    (SQ, 8), (WT, 8), (Z3, 6), (NM, 6),
+    (XY, 8), (XYZ, 8), (WT3, 8), (NM3, 8),
+], ids=["sq", "weighted", "z3", "nm", "xy", "xyz-sq", "weighted3", "nm3"])
 def test_linear_algebra_steps_match_buchberger(ring, top):
-    """Over an artinian ring every step past the first is linear algebra;
+    """Over a quotient ring every step past the first is linear algebra;
     Buchberger's kernel of the same differential has the same minimal
     generator degrees."""
     for seed in range(25):
@@ -97,13 +104,43 @@ def test_linear_algebra_steps_match_buchberger(ring, top):
 
 
 def test_linear_algebra_step_cell_cap(monkeypatch):
-    """One degree's matrix over the cell cap raises ResourceCapError."""
+    """One degree's matrix over the cell cap raises ResourceCapError, on
+    artinian and positive-dimensional rings alike."""
     monkeypatch.setattr(linalg, "CELL_CAP", 4)
-    with pytest.raises(ResourceCapError) as err:
-        minimal_resolution(GradedModule.residue_field(SQ), 3)
-    assert err.value.cap_name == "cell_cap"
-    # the Buchberger route is not capped by cells
-    assert minimal_resolution(GradedModule.residue_field(XY), 3)
+    for ring in (SQ, XY):
+        with pytest.raises(ResourceCapError) as err:
+            minimal_resolution(GradedModule.residue_field(ring), 3)
+        assert err.value.cap_name == "cell_cap"
+
+
+@pytest.mark.parametrize("ring", [SQ, NM, XY, XYZ, WT3, NM3],
+                         ids=["sq", "nm", "xy", "xyz-sq", "weighted3", "nm3"])
+def test_quotient_steps_run_no_buchberger(ring, monkeypatch):
+    """Past step 0, and once the ambient resolution that bounds the window
+    exists, a resolution over a quotient ring runs no Groebner kernel."""
+    for seed in range(6):
+        M = random_module(ring, seed)
+        minimal_resolution(M, 1)
+        pd_ambient(M)
+        with monkeypatch.context() as mp:
+            _forbid_buchberger(mp)
+            minimal_resolution(M, 12)
+
+
+@pytest.mark.parametrize("ring", [XY, XYZ, NM3], ids=["xy", "xyz-sq", "nm3"])
+def test_window_one_degree_lower_changes_betti(ring, monkeypatch):
+    """The Eisenbud-Shamash window is tight enough to matter: one degree
+    lower, some module loses generators, so the Buchberger comparison
+    above can fail.  (Over the weighted ring these modules leave the
+    bound two degrees of slack, so one degree lower changes nothing.)"""
+    want = [betti_table(random_module(ring, seed), 6).entries
+            for seed in range(8)]
+    top = resolution.FreeResolution._top
+    monkeypatch.setattr(resolution.FreeResolution, "_top",
+                        lambda self, n: top(self, n) - 1)
+    got = [betti_table(random_module(ring, seed), 6).entries
+           for seed in range(8)]
+    assert got != want
 
 
 def test_resolution_resolves_the_module():
@@ -167,13 +204,15 @@ def test_depth_and_pd_ambient():
     amb = ambient_restriction(GradedModule.residue_field(Z3))
     assert pd_ambient(GradedModule.residue_field(Z3)) == 3
     assert amb.ring.is_ambient
-    # artinian: depth 0 without the ambient resolution, as Auslander-
-    # Buchsbaum over the ambient ring confirms
+    # artinian: depth 0 and resolution steps without the ambient
+    # resolution, as Auslander-Buchsbaum over the ambient ring confirms
     for seed in range(6):
         M = random_module(SQ, seed)
         if not M.is_zero:
-            assert depth(M) == 0 and M._ambient_res is None
+            assert depth(M) == 0
+            assert minimal_resolution(M, 4)._ambient is None
             assert SQ.nvars - pd_ambient(M) == 0
+            assert M._res._ambient.ring.is_ambient
 
 
 def test_depth_of_zero_module_rejected():
@@ -203,14 +242,19 @@ def _steps(res, bound):
             [res.differential(n) for n in range(1, bound + 1)])
 
 
+def _boom(*args, **kw):
+    raise AssertionError("forbidden step was computed")
+
+
+def _forbid_buchberger(monkeypatch):
+    monkeypatch.setattr(resolution, "kernel_of_map", _boom)
+    monkeypatch.setattr(resolution, "minimal_generators", _boom)
+
+
 def _forbid_steps(monkeypatch):
     """Make every resolution step fail: Buchberger and linear algebra."""
-    def boom(*args, **kw):
-        raise AssertionError("copied step was computed again")
-
-    monkeypatch.setattr(resolution, "kernel_of_map", boom)
-    monkeypatch.setattr(resolution, "minimal_generators", boom)
-    monkeypatch.setattr(linalg, "minimal_kernel", boom)
+    _forbid_buchberger(monkeypatch)
+    monkeypatch.setattr(linalg, "minimal_kernel", _boom)
 
 
 @pytest.mark.parametrize("ring", [SQ, XY], ids=["sq", "xy"])
@@ -230,7 +274,7 @@ def test_twisted_resolution_is_copied_shift(ring, s, monkeypatch):
             copied = _steps(minimal_resolution(T, 8), 8)
         assert copied == _steps(fresh, 8), (seed, s)
         # past the copy, extend() goes on with the steps a from-scratch
-        # run takes (linear algebra over SQ, Buchberger over XY)
+        # run takes
         assert _steps(minimal_resolution(T, 10), 10) == _steps(fresh, 10)
         # twisting a module never resolved resolves it from scratch
         U = random_module(ring, seed).twisted(s)
@@ -282,6 +326,15 @@ def test_presentation_is_minimalized():
     assert len(M.twists) == 1 and not M.relations
 
 
+def test_negative_step_refused():
+    """F_{-1} is refused, not read from the end of the computed steps."""
+    res = minimal_resolution(GradedModule.cyclic(XY, ["x"]), 9)
+    with pytest.raises(IndexError):
+        res.twist_list(-1)
+    with pytest.raises(IndexError):
+        periodicity_isomorphism_check(GradedModule.cyclic(XY, ["x"]), -1, 9)
+
+
 def test_resolution_deterministic():
     a = minimal_resolution(random_module(Z3, 7), 6)
     b = minimal_resolution(random_module(Z3, 7), 6)
@@ -301,7 +354,7 @@ def test_resolved_module_freed_by_reference_counting():
     ext(M, residue_field_of(SQ), (0, 3), dims=False)  # memoizes verdicts
     assert M._cx_estimate is not None and M._verdicts
     refs = [weakref.ref(M), weakref.ref(M._res),
-            weakref.ref(M._ambient_res)]
+            weakref.ref(M._res._ambient)]
     gc.disable()
     try:
         del M
