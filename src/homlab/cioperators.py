@@ -375,7 +375,9 @@ def verify_reduction(push: PushoutModule) -> ReductionReport:
     Flags: cx drops by exactly one; depth of K equals depth of M; the
     short exact sequence is Hilbert-additive; and the Ext and Tor long
     exact sequences against the residue field telescope per internal
-    degree on indices 0..6.  Failures are flags, never exceptions.
+    degree on indices 0..6; those tables are the Betti tables of quot, K
+    and sub (``homology`` reads them off the resolutions).  Failures are
+    flags, never exceptions.
     """
     ring = push.module.ring
     N = residue_field_of(ring)

@@ -1,7 +1,18 @@
 """Tor and Ext as graded dimension tables with exact zero-certificates.
 
 Tor_i(M,N) is the homology of F_M tensor N, Ext^i(M,N) the cohomology of
-Hom(F_M, N).  Index i of either complex is a sum of shifted copies of N,
+Hom(F_M, N), for a minimal resolution F_M of M.  Each index takes one of
+three routes:
+
+- free partner: Tor_i(M, N) = 0 for i > 0 (flatness) and Ext^i(M, N) = 0
+  for i > dim A - depth M (graded local duality; a complete intersection
+  is Gorenstein); lower Ext indices take the covered complex;
+- residue field: for N = k(-t) the maps of F_M (x) N and Hom(F_M, N) are
+  zero, since F_M is minimal, so both are read off the generator degrees
+  of F_M (Betti numbers), with no complex built;
+- covered complex: every other partner, as below.
+
+Index i of either complex is a sum of shifted copies of N,
 one slot per generator of F_i: N(-t_a) for the tensor complex, N(t_a)
 for Hom.  Graded dimensions are read in the quotient coordinates of N's
 graded pieces (``GradedModule.pieces``): in internal degree d the map
@@ -18,11 +29,12 @@ computed by syzygies over a free cover of the index (one generator per
 slot and generator of N), whose classes generate H_i.  Verdicts are
 never read off truncated dimension tables.
 
-Exact verdicts are memoized on M, one index at a time, keyed by
-(kind, N.key()): the vanishing checkers ask overlapping index windows of
-the same pair, and a memoized index is answered without building the
-complex or extending M's resolution.  The degree cap only bounds the
-dimension tables, never a verdict, so it is not part of the key.
+Exact verdicts of the covered complex are memoized on M, one index at a
+time, keyed by (kind, N.key()): the vanishing checkers ask overlapping
+index windows of the same pair, and a memoized index is answered without
+building the complex or extending M's resolution.  The degree cap only
+bounds the dimension tables, never a verdict, so it is not part of the
+key.
 """
 
 from __future__ import annotations
@@ -248,6 +260,40 @@ def _default_cap(M, N, hi):
     return mx + 2 * hi + DEFAULT_CAP_PAD
 
 
+def _residue_twist(N):
+    """t when N is k(-t): one generator, of degree t, killed by every
+    variable (its pieces in degree t + w vanish for every variable
+    weight w); otherwise None."""
+    if len(N.twists) != 1:
+        return None
+    t = N.twists[0]
+    if any(N.pieces.dim(t + w) for w in set(N.ring.weights)):
+        return None
+    return t
+
+
+def _read_betti(report, M, t, exact, dims):
+    """Tor and Ext against N = k(-t) from the minimal resolution F of M.
+
+    F is minimal, so the maps of F (x) k and Hom(F, k) are zero: index i
+    is its own homology, one copy of k per generator of F_i, in degree
+    t + u (Tor) or t - u (Ext) for a generator of degree u.
+    """
+    lo, hi = report.range
+    sign = 1 if report.kind == "Tor" else -1
+    res = minimal_resolution(M, hi)
+    for i in range(lo, hi + 1):
+        twists = res.twist_list(i)
+        if exact:
+            report.is_zero[i] = not twists
+        if dims:
+            per = report.dims[i] = {}
+            for u in twists:
+                d = t + sign * u
+                if d <= report.cap:
+                    per[d] = per.get(d, 0) + 1
+
+
 def _homology(kind, M, N, rng, cap, exact, dims):
     """The one body behind tor and ext."""
     lo, hi = rng
@@ -265,6 +311,11 @@ def _homology(kind, M, N, rng, cap, exact, dims):
     zero_above = hi
     if not N.relations and N.twists and not M.is_zero:
         zero_above = 0 if kind == "Tor" else M.ring.krull_dim - depth(M)
+    # residue field: every index is read off the Betti numbers of M
+    t = _residue_twist(N)
+    if t is not None:
+        _read_betti(report, M, t, exact, dims)
+        return report
     verdicts = M._verdicts.setdefault((kind, N.key()), {}) if exact else {}
     built = [i for i in range(lo, hi + 1)
              if (dims or i not in verdicts) and i <= zero_above]
@@ -294,9 +345,10 @@ def tor(M: GradedModule, N: GradedModule, rng, cap=None,
         exact=True, dims=True) -> HomologyReport:
     """Tor_i(M, N) for i in rng = (lo, hi).
 
-    When N is free the tensor complex is the resolution of M itself,
-    whose exactness in positive degrees is witnessed by the syzygy
-    computation, so those groups vanish without further work.
+    Three routes (module docstring): when N is free, Tor_i vanishes for
+    i > 0 by flatness; when N is k(-t), dim Tor_i(M, N)_{t+u} is the
+    number of generators of degree u in F_i; otherwise the covered
+    complex F_M (x) N.
     """
     return _homology("Tor", M, N, rng, cap, exact, dims)
 
@@ -305,9 +357,11 @@ def ext(M: GradedModule, N: GradedModule, rng, cap=None,
         exact=True, dims=True) -> HomologyReport:
     """Ext^i(M, N) for i in rng = (lo, hi).
 
-    When N is free, Ext^i(M, N) vanishes for i > dim A - depth M by
-    graded local duality (a complete intersection is Gorenstein), so
-    only the indices up to that bound need the complex.
+    Three routes (module docstring): when N is free, Ext^i vanishes for
+    i > dim A - depth M by graded local duality (a complete intersection
+    is Gorenstein), and only the lower indices need the complex; when N
+    is k(-t), dim Ext^i(M, N)_{t-u} is the number of generators of degree
+    u in F_i; otherwise the covered complex Hom(F_M, N).
     """
     return _homology("Ext", M, N, rng, cap, exact, dims)
 

@@ -10,14 +10,19 @@ import pytest
 import oracle
 from homlab import (
     GradedModule,
+    eta,
+    eta_power,
     ext,
     finite_length_test,
+    k_eta,
     parse_ring,
     tor,
     tor_symmetry_check,
+    verify_reduction,
 )
 from homlab.harness import (
     DEFAULT_CORPUS_RINGS,
+    ext_jump_check,
     random_module,
     residue_field_of,
 )
@@ -43,20 +48,6 @@ def test_paper_pair_ext_parity():
     rep = ext(M, N, (0, 12))
     for i in range(13):
         assert rep.is_zero[i] == (i % 2 == 0)
-
-
-def test_betti_equals_tor_and_ext_against_k():
-    """beta_n = dim Tor_n(M,k) = dim Ext^n(M,k) for corpus modules."""
-    from homlab import betti_table
-
-    for ring, seed in ((XY, 2), (SQ, 3), (Z3, 1)):
-        M = random_module(ring, seed)
-        k = residue_field_of(ring)
-        bt = betti_table(M, 5)
-        t = tor(M, k, (0, 5), exact=False)
-        e = ext(M, k, (0, 5), exact=False)
-        for n in range(6):
-            assert bt.total(n) == t.total_dim(n) == e.total_dim(n)
 
 
 # The corpus rings, a non-monomial complete intersection (its normal
@@ -304,6 +295,78 @@ def test_ext_free_partner_rule_fails_with_wrong_depth(monkeypatch):
                in _ext_free_rule_vs_complex(XY, range(6), 2))
 
 
+def _zero_module(ring):
+    return GradedModule.present(ring, [0], [{(0, (0,) * ring.nvars): 1}])
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.key())
+def test_residue_field_rule_matches_complex(ring):
+    """Tor and Ext against k and k(-2), read off the Betti numbers, give
+    the covered complex's per-degree dims and verdicts, with the cap
+    cutting off some nonzero degree."""
+    lo, hi = (1, 3) if ring.nvars == 2 else (1, 2)
+    k = residue_field_of(ring)
+    modules = [_zero_module(ring)] + [random_module(ring, s)
+                                      for s in (1, 4, 7)]
+    cut = False
+    for M in modules:
+        for N in (k, k.twisted(2)):
+            for kind, fn in (("Tor", tor), ("Ext", ext)):
+                cap = N.twists[0] + (2 if kind == "Tor" else -2)
+                rep = fn(M, N, (lo, hi), cap=cap)
+                cx = _CoveredComplex(M, N, hi, kind)
+                for i in range(lo, hi + 1):
+                    dmin = min(cx.cover(i), default=0)
+                    assert rep.dims[i] == homology._dims_at(
+                        cx, i, range(dmin, cap + 1)), (kind, i)
+                    assert rep.is_zero[i] == homology._is_zero_at(cx, i)
+                    cut |= any(d > cap for d in homology._dims_at(
+                        cx, i, range(dmin, cap + 10)))
+    assert cut
+
+
+def test_residue_field_detector():
+    """The rule takes k(-t) however it was built, and nothing else."""
+    XYZ = parse_ring("p=32003; vars x,y,z; ci: x^2, y^2")
+    kk = GradedModule.present(SQ, [0, 0], [
+        {(b, m): 1} for b in (0, 1) for m in ((1, 0), (0, 1))])
+    for N in (GradedModule.cyclic(XY, ["x"]), kk, GradedModule.free(SQ, [0]),
+              GradedModule.cyclic(XYZ, ["x", "y"])):
+        assert homology._residue_twist(N) is None, N
+    assert homology._residue_twist(GradedModule.residue_field(XY)) == 0
+    k3 = GradedModule.residue_field(Z3).twisted(3)
+    assert homology._residue_twist(k3) == 3
+
+
+def test_residue_field_rule_forced_on_other_partner_differs(monkeypatch):
+    """Read off the Betti numbers against A/(x) over xy, Tor and Ext are
+    wrong, so the differential test above can fail."""
+    M = N = GradedModule.cyclic(XY, ["x"])
+    want = [fn(M, N, (0, 3), cap=6).dims for fn in (tor, ext)]
+    monkeypatch.setattr(homology, "_residue_twist", lambda N: 0)
+    got = [fn(M, N, (0, 3), cap=6).dims for fn in (tor, ext)]
+    assert got[0] != want[0] and got[1] != want[1]
+
+
+@pytest.mark.parametrize("ring", [SQ, XY], ids=["sq", "xy"])
+def test_residue_field_partner_builds_no_complex(ring, monkeypatch):
+    """Every Tor/Ext against k, including those of verify_reduction and
+    ext_jump_check, is read off the resolution, never a covered complex."""
+    M = GradedModule.cyclic(ring, ["x"])
+    k = residue_field_of(ring)
+    push = k_eta(M, eta_power(eta(M, [1] * ring.codim, 4), 1))
+
+    def boom(*args, **kw):
+        raise AssertionError("covered complex built against k")
+
+    monkeypatch.setattr(homology, "_CoveredComplex", boom)
+    for fn in (tor, ext):
+        for dims in (True, False):
+            fn(M, k, (0, 6), dims=dims)
+    assert verify_reduction(push).ok
+    assert ext_jump_check(push, k)[0]
+
+
 def test_homology_range_validation():
     """Bad ranges are refused for every partner, the free one too (its
     shortcut skips the complex, not the check)."""
@@ -326,17 +389,22 @@ def test_equal_rings_each_own_their_residue_field():
 
 def test_memoized_verdicts_keep_kind_and_partner_apart():
     """Exact tor/ext calls on one module over overlapping windows, with
-    two partners, report what fresh modules asked once report."""
-    # Over xy, M = rand(0) has depth 0 and complexity 1: Ext^{3,4}(M, k)
-    # is nonzero while Ext^{3,4}(M, A) vanishes, and Hom(M, A) = 0 while
-    # M (x) A = M does not, so a memo keyed without the partner or
-    # without the kind answers one of these calls wrongly.
+    four partners, report what fresh modules asked once report."""
+    # Against k and A the verdicts are read by rule and fill no memo; the
+    # partners A/(x) and A/(x + y) build the complex and fill it.  A memo
+    # keyed without the partner or without the kind answers one of their
+    # calls wrongly.
     calls = [("Tor", "k", (2, 5)), ("Ext", "k", (1, 4)), ("Ext", "A", (3, 6)),
+             ("Ext", "x", (1, 4)), ("Tor", "x", (2, 5)),
              ("Ext", "A", (0, 4)), ("Tor", "A", (0, 3)), ("Tor", "k", (0, 6)),
+             ("Tor", "x+y", (0, 6)), ("Ext", "x+y", (0, 6)),
+             ("Ext", "x", (0, 6)), ("Tor", "x", (0, 6)),
              ("Ext", "k", (0, 6)), ("Tor", "A", (1, 6))]
     for ring, seed in ((SQ, 3), (XY, 0)):
         partners = {"k": residue_field_of(ring),
-                    "A": GradedModule.free(ring, [0], name="A")}
+                    "A": GradedModule.free(ring, [0], name="A"),
+                    "x": GradedModule.cyclic(ring, ["x"], name="A/(x)"),
+                    "x+y": GradedModule.cyclic(ring, ["x + y"])}
         M = random_module(ring, seed)
         for kind, name, rng in calls:
             fn = tor if kind == "Tor" else ext

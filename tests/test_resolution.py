@@ -351,7 +351,9 @@ def test_resolved_module_freed_by_reference_counting():
     minimal_resolution(M, 4)
     pd_ambient(M)  # builds the ambient resolution
     complexity_estimate(M)  # memoizes the estimate on M
-    ext(M, residue_field_of(SQ), (0, 3), dims=False)  # memoizes verdicts
+    # memoizes verdicts (against k they are read off the Betti numbers
+    # and not memoized, so the partner is one that builds the complex)
+    ext(M, GradedModule.cyclic(SQ, ["x"]), (0, 3), dims=False)
     assert M._cx_estimate is not None and M._verdicts
     refs = [weakref.ref(M), weakref.ref(M._res),
             weakref.ref(M._res._ambient)]
