@@ -66,9 +66,14 @@ class _CoveredComplex:
         self.res = minimal_resolution(M, top + 1)
         self._entries = {}
         self._ranks = {}   # (src index, tgt index, degree) -> rank
+        self._shifts = {}  # index -> slot shifts
 
     def shifts(self, i):
-        return [self.sign * t for t in self.res.twist_list(i)]
+        s = self._shifts.get(i)
+        if s is None:
+            s = self._shifts[i] = tuple(self.sign * t
+                                        for t in self.res.twist_list(i))
+        return s
 
     def slot_dims(self, i, d):
         """dim N_{d - s_a} for every slot a of index i."""

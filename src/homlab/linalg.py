@@ -10,8 +10,11 @@ sparse matrix N_e -> N_{e + deg m}, cached, and every map between sums
 of shifted copies of N is assembled from these by ``block_rows``, with
 no relation rows.  Over a quotient ring, ``minimal_kernel`` computes a
 step of a minimal free resolution the same way over the ring's own
-pieces (``ring_pieces``), one elimination per degree of a finite window
-that its caller bounds.
+pieces (``ring_pieces``), in a finite degree window that its caller
+bounds.  Given the previous step's kernel dimensions, exactness counts
+each kernel piece (dim ker_e d_n = dim (F_n)_e - dim ker_e d_{n-1}), so
+a degree stops collecting products once the count is reached and
+eliminates only when it holds new generators.
 
 Everything is sparse: a row is a ``{column: value}`` dict of Python
 ints, one reducer touches only nonzero entries and serves rank, reduced
@@ -230,7 +233,7 @@ def block_rows(pieces, entries, src_shifts, tgt_shifts, d):
     return rows, coff[-1]
 
 
-def minimal_kernel(cols, ring, src_twists, tgt_twists, top):
+def minimal_kernel(cols, ring, src_twists, tgt_twists, top, image_dims=None):
     """Minimal generators of degree at most top of the kernel of a map of
     free modules over a quotient ring, by linear algebra on graded pieces.
 
@@ -245,10 +248,20 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists, top):
     off the rows of [image | identity] whose image part eliminates to
     zero, is the set of new generators of degree e, each scaled to 1 at
     its pivot.  The piece map and the maps x_v are block rows over
-    ``ring_pieces``, in ``free_basis`` coordinates.  Returns the new
-    generators as module elements in ascending degree.  Raises
-    ResourceCapError when one degree's [image | identity] matrix has
-    more than CELL_CAP cells.
+    ``ring_pieces``, in ``free_basis`` coordinates.
+
+    ``image_dims`` ({e: dim im_e}, or None) counts instead: where dim
+    im_e is known (listed there, or 0 where the target piece is 0),
+    dim ker_e = dim (F_src)_e - dim im_e.  U_e takes products only up
+    to that count, and a full U_e leaves no new generator, so no
+    elimination.  The rows kept are those kept without the count (every
+    later product lies in U_e).  A degree that still eliminates must
+    reach the count exactly, or AssertionError.
+
+    Returns (generators, dims): the new generators as module elements
+    in ascending degree and {e: dim ker_e} over the window.  Raises
+    ResourceCapError, before assembling any rows, when one degree's
+    [image | identity] matrix would have more than CELL_CAP cells.
     """
     p = ring.p
     pieces = ring_pieces(ring)
@@ -260,16 +273,22 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists, top):
     kernels = {}   # e -> basis of ker_e, as rows over free_basis(e)
     gens = []
     for e in range(min(src_twists), top + 1):
-        images, nt = block_rows(pieces, entries, src_twists, tgt_twists, e)
-        ns = len(images)
+        ns = sum(pieces.dim(e - t) for t in src_twists)
+        nt = sum(pieces.dim(e - t) for t in tgt_twists)
         if ns * (nt + ns) > CELL_CAP:
             raise ResourceCapError(
                 f"cell cap {CELL_CAP} exceeded by a {ns} x {nt + ns} "
                 f"matrix in degree {e}", "cell_cap", CELL_CAP)
+        target = None   # dim ker_e, where exactness gives it
+        if image_dims is not None:
+            if e in image_dims:
+                target = ns - image_dims[e]
+            elif not nt:
+                target = ns
         below = {}
         for w, x in zip(ring.weights, units):
             lower = kernels.get(e - w)
-            if not lower:
+            if not lower or len(below) == target:
                 continue
             # multiplication by x_v, (F_src)_{e-w} -> (F_src)_e
             times, _ = block_rows(pieces, [(b, b, x) for b in slots],
@@ -281,6 +300,12 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists, top):
                         row[jj] = row.get(jj, 0) + c * a
                 _insert(below, {j: r for j, a in row.items()
                                 if (r := a % p)}, p)
+                if len(below) == target:
+                    break
+        kernels[e] = list(below.values())
+        if len(below) == target:
+            continue
+        images, _ = block_rows(pieces, entries, src_twists, tgt_twists, e)
         rows = []
         for j, row in enumerate(images):
             if j not in below:
@@ -289,11 +314,15 @@ def minimal_kernel(cols, ring, src_twists, tgt_twists, top):
         pivots = _reduce(rows, p, reduced=False)
         new = [{j - nt: v for j, v in pivots[c].items()}
                for c in sorted(pivots) if c >= nt]
-        kernels[e] = list(below.values()) + new
+        kernels[e] += new
+        if target is not None and len(kernels[e]) != target:
+            raise AssertionError(
+                f"kernel of dimension {len(kernels[e])} in degree {e}, "
+                f"where exactness gives {target}: broken complex")
         if new:
             basis = free_basis(ring, src_twists, e)
             gens.extend({basis[j]: v for j, v in k.items()} for k in new)
-    return gens
+    return gens, {e: len(k) for e, k in kernels.items()}
 
 
 class GradedPieces:
@@ -305,8 +334,9 @@ class GradedPieces:
     projection onto that basis, one sparse row per cover column: a free
     column maps to its own basis vector, a pivot column to minus the
     non-pivot entries of its reduced row.  Per (monomial, degree) it
-    keeps the matrix of multiplication by the monomial as sparse rows.
-    Both caches hold only the degrees asked for.
+    keeps the matrix of multiplication by the monomial as sparse rows,
+    and per degree the dimension.  The caches hold only the degrees asked
+    for.
     """
 
     def __init__(self, ring, twists, rels):
@@ -315,6 +345,7 @@ class GradedPieces:
         self.rels = tuple(rels)
         self._rel_degs = [edeg(r, self.twists, ring.weights) for r in rels]
         self._pieces = {}   # e -> (basis indices in the cover, projection)
+        self._dims = {}     # e -> dim N_e
         self._mult = {}     # (mono, e) -> sparse rows of N_e -> N_{e + deg}
 
     def _piece(self, e):
@@ -337,7 +368,10 @@ class GradedPieces:
 
     def dim(self, e):
         """k-dimension of N_e."""
-        return len(self._piece(e)[0])
+        d = self._dims.get(e)
+        if d is None:
+            d = self._dims[e] = len(self._piece(e)[0])
+        return d
 
     def mult(self, mono, e):
         """Sparse rows (one per basis vector of N_e, as {column: value}

@@ -9,10 +9,12 @@ step by step.  Over a quotient ring every step past the presentation is
 graded linear algebra (``linalg.minimal_kernel``, capped by
 ``linalg.CELL_CAP``) in a finite degree window: up to max twist plus
 the ring's top degree on artinian rings, up to the Eisenbud-Shamash
-bound otherwise.  Over the ambient polynomial ring, which has no such
-window, a step is Buchberger's syzygies followed by
-``minimal_generators``; the S-pair degree and pair caps bind that
-route, step 0 and kernel generators.
+bound otherwise.  Each such step keeps dim ker_e d_n over its window,
+where im d_{n+1} = ker d_n exactly, so the next step counts its kernel
+pieces by exactness and eliminates only where new generators live.
+Over the ambient polynomial ring, which has no such window, a step is
+Buchberger's syzygies followed by ``minimal_generators``; the S-pair
+degree and pair caps bind that route, step 0 and kernel generators.
 """
 
 from __future__ import annotations
@@ -244,12 +246,16 @@ class FreeResolution:
     ring every later step is `linalg.minimal_kernel` up to the degree
     `_top` allows; over the ambient polynomial ring it is
     `kernel_of_map` plus `minimal_generators`.  Either way the new
-    columns are sorted by (degree, elem_sort_key).
+    columns are sorted by (degree, elem_sort_key).  `kernel_dims[n]`
+    holds dim ker_e d_n over the window of a `minimal_kernel` step
+    (None for the other routes); the next step reads it as the
+    dimensions of the image of d_{n+1}.
 
     With `source`, the resolution starts from the steps `start`,
     `start + 1`, ... already computed in `source`, every twist shifted
     up by `shift`; the module must then be presented on F_start of
-    `source` (shifted) by d_{start+1}.  The differential columns are
+    `source` (shifted) by d_{start+1}.  Kernel dimensions are copied
+    shifted too.  The differential columns are
     shared, not copied (no one mutates them), and `extend` goes on
     from the last copied step.
 
@@ -267,10 +273,15 @@ class FreeResolution:
         if source is None:
             self.twists = [tuple(module.twists)]
             self.diffs = []
+            self.kernel_dims = []
         else:
             self.twists = [tuple(t + shift for t in tw)
                            for tw in source.twists[start:]]
             self.diffs = source.diffs[start:]
+            self.kernel_dims = [
+                None if dims is None else {e + shift: v
+                                           for e, v in dims.items()}
+                for dims in source.kernel_dims[start:]]
 
     @property
     def computed_to(self):
@@ -338,11 +349,12 @@ class FreeResolution:
         while self.computed_to < bound:
             if self._finished():
                 self.twists.append(())
-                if len(self.diffs) < len(self.twists) - 1:
-                    self.diffs.append([])
+                self.diffs.append([])
+                self.kernel_dims.append(None)
                 continue
             n = self.computed_to
             src_twists = self.twists[n]
+            dims = None
             if n == 0:
                 mins = minimal_generators(list(self.relations), self.ring,
                                           len(src_twists), src_twists)
@@ -354,16 +366,18 @@ class FreeResolution:
                 mins = minimal_generators(kern, self.ring, len(src_twists),
                                           src_twists)
             else:
-                mins = linalg.minimal_kernel(
+                # im d_n = ker d_{n-1}, counted by the step before
+                mins, dims = linalg.minimal_kernel(
                     self.diffs[n - 1], self.ring,
                     src_twists, self.twists[n - 1], self._top(n),
+                    image_dims=self.kernel_dims[n - 1],
                 )
-            mins.sort(key=lambda c: (edeg(c, src_twists, self.ring.weights),
-                                     elem_sort_key(c)))
-            self.twists.append(tuple(
-                edeg(c, src_twists, self.ring.weights) for c in mins
-            ))
-            self.diffs.append(mins)
+            degs = [edeg(c, src_twists, self.ring.weights) for c in mins]
+            order = sorted(range(len(mins)),
+                           key=lambda j: (degs[j], elem_sort_key(mins[j])))
+            self.twists.append(tuple(degs[j] for j in order))
+            self.diffs.append([mins[j] for j in order])
+            self.kernel_dims.append(dims)
         return self
 
     def shape(self, bound=None):

@@ -143,6 +143,88 @@ def test_window_one_degree_lower_changes_betti(ring, monkeypatch):
     assert got != want
 
 
+def _uncounted(monkeypatch):
+    """Make every linear-algebra step eliminate in every degree."""
+    full = linalg.minimal_kernel
+    monkeypatch.setattr(linalg, "minimal_kernel",
+                        lambda *args, image_dims=None: full(*args))
+
+
+def _family_steps(ring, seed):
+    """Steps to 8 of a module, of its twist and of its second syzygy; the
+    copies are taken at step 4, so they compute steps of their own from
+    the copied kernel dimensions."""
+    M = random_module(ring, seed)
+    minimal_resolution(M, 4)
+    T, S = M.twisted(1), syzygy(M, 2)
+    out = [minimal_resolution(X, 8) for X in (M, T, S)]
+    return [(_steps(res, 8), res.kernel_dims) for res in out]
+
+
+@pytest.mark.parametrize("ring", [SQ, NM, XY, XYZ, WT3, NM3],
+                         ids=["sq", "nm", "xy", "xyz-sq", "weighted3", "nm3"])
+def test_counted_steps_match_full_elimination(ring, monkeypatch):
+    """Counting ker_e by exactness changes no column and no twist: the
+    steps of a module and of its twisted and syzygy copies equal those of
+    a run that eliminates in every degree, and so do the kernel dims."""
+    for seed in range(3):
+        counted = _family_steps(ring, seed)
+        with monkeypatch.context() as mp:
+            _uncounted(mp)
+            full = _family_steps(ring, seed)
+        assert counted == full, (ring.key(), seed)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_perturbed_count_raises(delta):
+    """The count is checked where a degree still eliminates.  Over
+    x^2,y^2, d_3 of k has its kernel's new generators in degree 4, and a
+    target off by one there fails: one more than the kernel is never
+    reached, one less is reached neither by U_4 (it misses all five new
+    generators) nor by the elimination."""
+    k = GradedModule.residue_field(SQ)
+    res = minimal_resolution(k, 4)
+    args = (res.differential(3), SQ, res.twist_list(3), res.twist_list(2),
+            res._top(3))
+    image_dims = res.kernel_dims[2]
+    assert 4 in image_dims and res.twist_list(4) == (4,) * 5
+    gens, dims = linalg.minimal_kernel(*args, image_dims=image_dims)
+    assert dims == res.kernel_dims[3] and len(gens) == 5
+    # the image dimension moves against the target
+    with pytest.raises(AssertionError, match="exactness"):
+        linalg.minimal_kernel(*args, image_dims={
+            **image_dims, 4: image_dims[4] - delta})
+
+
+def test_counted_steps_eliminate_only_at_new_generators(monkeypatch):
+    """Resolving k over x^2,y^2 to step 10 eliminates in every degree of
+    step 1's window, and past step 1 only in degrees that hold new
+    generators."""
+    # fill the ring's piece caches first: their rref also calls _reduce
+    minimal_resolution(GradedModule.residue_field(SQ), 10)
+    calls = []
+    kernel, reduce = linalg.minimal_kernel, linalg._reduce
+
+    def counted_kernel(cols, ring, src, tgt, top, image_dims=None):
+        calls.append([range(min(src), top + 1), 0, src])
+        gens, dims = kernel(cols, ring, src, tgt, top, image_dims=image_dims)
+        calls[-1].append({edeg(g, src, ring.weights) for g in gens})
+        return gens, dims
+
+    def counted_reduce(*args, **kw):
+        calls[-1][1] += 1
+        return reduce(*args, **kw)
+
+    monkeypatch.setattr(linalg, "minimal_kernel", counted_kernel)
+    monkeypatch.setattr(linalg, "_reduce", counted_reduce)
+    minimal_resolution(GradedModule.residue_field(SQ), 10)
+    assert len(calls) == 9   # steps 1..9 give F_2..F_10
+    window, eliminations, _, _ = calls[0]
+    assert eliminations == len(window)
+    for window, eliminations, src, new_degrees in calls[1:]:
+        assert eliminations == len(new_degrees) < len(window), src
+
+
 def test_resolution_resolves_the_module():
     """H_0 of the resolution equals M: Hilbert functions agree (oracle)."""
     M = random_module(SQ, 4)
